@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import pytest
@@ -196,6 +198,54 @@ def test_two_vertex_graph():
     assert res.edges == [(0, 1, 3.5)]
     assert res.stats["stretch_measured"] == 1.0
     assert res.stats["lightness"] == 1.0
+
+
+# ---------------------------------------------------------------------------
+# golden outputs: exact spanners of small seeded builds, one per mode
+
+
+def _digest(res) -> str:
+    # the same digest as the benchmark's: sorted kept ids plus stats, timings excluded
+    stats = {k: v for k, v in res.stats.items() if k != "timings_ms"}
+    blob = json.dumps({"edge_ids": sorted(res.edge_ids), "stats": stats}, sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+GOLDEN = {
+    # verify_cap below n routes certification through the sampled scipy path
+    "general": (
+        lambda: light_spanner_general(
+            random_connected_graph(300, 1200, seed=1),
+            PipelineConfig(mode="general", eps_user=0.25, verify_cap=100, sample_size=200),
+        ),
+        "426ed5a35d8a266d032e9462f43401627502e6a4775d0b357f76f6a3cb882668",
+    ),
+    "minor": (
+        lambda: light_spanner_minor_free(
+            planar_triangulation(300, seed=2), PipelineConfig(mode="minor", eps_user=0.25)
+        ),
+        "7031b1d2ecde3a2f2d19633fac052f50e8f842aa6752dc4fef8210d7b5f1709f",
+    ),
+    "euclidean": (
+        lambda: light_spanner_geometric(
+            uniform_points(150, 2, seed=3), PipelineConfig(mode="euclidean", dim=2, eps_user=0.25)
+        ),
+        "59734403d14f28f9889a70dd32ac716e1161011e00b7664375041ec404fb768c",
+    ),
+    "udg": (
+        lambda: light_spanner_geometric(
+            uniform_points(300, 2, seed=4),
+            PipelineConfig(mode="udg", dim=2, radius=0.15, eps_user=0.25),
+        ),
+        "faf7577d828836727264094c6fa8e187132e436fb8f8242eef2474c4d368803b",
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(GOLDEN))
+def test_golden_output(mode):
+    build, want = GOLDEN[mode]
+    assert _digest(build()) == want
 
 
 # ---------------------------------------------------------------------------
