@@ -6,44 +6,4 @@ sparse-spanner subroutine inside a hierarchical clustering of the input.
 Exact verification oracles and a benchmark CLI are included.
 """
 
-from .graphs import (
-    DegeneratePoints,
-    DisconnectedGraph,
-    FormatError,
-    PointSet,
-    SubdividedMst,
-    WeightedGraph,
-    build_mst,
-    dijkstra,
-    subdivide_mst,
-)
-from .unionfind import UnionFind
-from .leveling import LevelSchedule, classify_edges, reduce_over_sigma
-from .hierarchy import (
-    ClusterGraph,
-    ClusterLevel,
-    PotentialLedger,
-    UnsupportedShape,
-    augmented_diameter,
-    build_cluster_graph,
-    build_level1,
-    contract_level,
-)
-from .clustering import ClusteringOutcome, cluster_level, corrected_potential, partition_nodes
-from .ssa import SsaInput, SsaOutput, ssa_general, ssa_geom, ssa_minor, unweighted_spanner
-from .pipeline import (
-    PipelineConfig,
-    SpannerResult,
-    light_spanner_general,
-    light_spanner_geometric,
-    light_spanner_minor_free,
-)
-from .verify import VerificationReport, check_hierarchy, greedy_spanner, measure_stretch
-from .generate import (
-    grid_graph,
-    planar_triangulation,
-    random_connected_graph,
-    uniform_points,
-)
-
 __version__ = "0.1.0"

@@ -6,6 +6,8 @@ import heapq
 import math
 from dataclasses import dataclass, field
 
+from .unionfind import UnionFind
+
 
 class DisconnectedGraph(ValueError):
     """Raised when a connected graph is required but more than one component exists."""
@@ -41,21 +43,10 @@ class WeightedGraph:
 
     n: int
     edges: list[tuple[int, int, float]]
-    _adj: list[list[int]] | None = field(default=None, repr=False, compare=False)
 
     @property
     def m(self) -> int:
         return len(self.edges)
-
-    def adjacency(self) -> list[list[int]]:
-        """Per-vertex list of incident edge ids (built once, cached)."""
-        if self._adj is None:
-            adj: list[list[int]] = [[] for _ in range(self.n)]
-            for i, (u, v, _) in enumerate(self.edges):
-                adj[u].append(i)
-                adj[v].append(i)
-            self._adj = adj
-        return self._adj
 
     def weighted_adjacency(self) -> list[list[tuple[int, float]]]:
         """Per-vertex (neighbor, weight) lists."""
@@ -72,9 +63,6 @@ class WeightedGraph:
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise ValueError(f"edge {i}: vertex id out of range")
             _check_weight(w)
-
-    def total_weight(self) -> float:
-        return sum(w for _, _, w in self.edges)
 
 
 @dataclass
@@ -221,7 +209,7 @@ def normalize(g: WeightedGraph) -> tuple[WeightedGraph, float]:
 
 
 # ---------------------------------------------------------------------------
-# MST (Kruskal over a plain union-find on the original vertices)
+# MST (Kruskal over UnionFind)
 
 
 def build_mst(g: WeightedGraph) -> list[int]:
@@ -230,20 +218,11 @@ def build_mst(g: WeightedGraph) -> list[int]:
     Raises DisconnectedGraph when g has more than one component.
     """
     order = sorted(range(g.m), key=lambda i: (g.edges[i][2], min(g.edges[i][:2]), max(g.edges[i][:2])))
-    parent = list(range(g.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = UnionFind(g.n, g.n)
     tree: list[int] = []
     for i in order:
         u, v, _ = g.edges[i]
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
+        if uf.union(u, v):
             tree.append(i)
             if len(tree) == g.n - 1:
                 break
@@ -273,8 +252,6 @@ class SubdividedMst:
     w_bar: float
     extended_vertex_count: int
     tree_edges: list[tuple[int, int, float]] = field(default_factory=list)
-    # tree edge id -> owning MST edge position
-    tree_edge_owner: list[int] = field(default_factory=list)
 
     @property
     def virtual_count(self) -> int:
@@ -297,9 +274,8 @@ def subdivide_mst(g: WeightedGraph, mst_edge_ids: list[int], w_bar: float) -> Su
     segments: list[list[int]] = []
     piece_weights: list[float] = []
     tree_edges: list[tuple[int, int, float]] = []
-    tree_edge_owner: list[int] = []
     next_id = g.n
-    for j, (u, v, w) in enumerate(originals):
+    for u, v, w in originals:
         if w <= w_bar:
             pieces = 1
         else:
@@ -315,10 +291,8 @@ def subdivide_mst(g: WeightedGraph, mst_edge_ids: list[int], w_bar: float) -> Su
         prev = u
         for x in chain:
             tree_edges.append((prev, x, sub_w))
-            tree_edge_owner.append(j)
             prev = x
         tree_edges.append((prev, v, sub_w))
-        tree_edge_owner.append(j)
     return SubdividedMst(
         n_original=g.n,
         original_mst_edges=originals,
@@ -327,7 +301,6 @@ def subdivide_mst(g: WeightedGraph, mst_edge_ids: list[int], w_bar: float) -> Su
         w_bar=w_bar,
         extended_vertex_count=next_id,
         tree_edges=tree_edges,
-        tree_edge_owner=tree_edge_owner,
     )
 
 

@@ -162,15 +162,17 @@ def _find_cycle(node_weights: dict[int, float], edges: list[tuple[int, int, floa
 
 @dataclass
 class ClusterLevel:
-    """Partition of the extended vertex set at one level of the hierarchy."""
+    """Partition of the extended vertex set at one level of the hierarchy.
 
-    index: int
+    A cluster's representative is its least original vertex, or its least
+    vertex when all are virtual, so it is original exactly when it is below
+    the original vertex count.
+    """
+
     prev_scale: float
     members: list[list[int]]
     potentials: list[float]
     representatives: list[int]
-    rep_is_original: list[bool]
-    handles: list[int]
     # contracted tree over cluster ids: (cu, cv, weight, subdivided tree edge id)
     tree_edges: list[tuple[int, int, float, int]]
     # class-edge scale this level serves; the driver fills it in
@@ -182,13 +184,14 @@ class ClusterLevel:
     def cluster_count(self) -> int:
         return len(self.members)
 
-    def dump(self) -> str:
-        out = []
-        for cid, (phi, mem) in enumerate(zip(self.potentials, self.members)):
-            out.append(f"{cid} {phi!r} {len(mem)}")
-        for cu, cv, w, _ in self.tree_edges:
-            out.append(f"tree {cu} {cv} {w!r}")
-        return "\n".join(out) + "\n"
+
+def _representatives(clusters: list[list[int]], n_original: int) -> list[int]:
+    """Least original member per cluster, else least member."""
+    reps = []
+    for ms in clusters:
+        orig = [v for v in ms if v < n_original]
+        reps.append(min(orig) if orig else min(ms))
+    return reps
 
 
 def _induced_tree_diameter(members: list[int], adj, member_set: set[int]) -> float:
@@ -292,21 +295,7 @@ def build_level1(sub: SubdividedMst, level0_scale: float, uf: UnionFind | None =
     potentials = [
         _induced_tree_diameter(ms, adj, mset) for ms, mset in zip(clusters, member_sets)
     ]
-    reps: list[int] = []
-    rep_orig: list[bool] = []
-    handles: list[int] = []
-    for ms in clusters:
-        orig = [v for v in ms if v < sub.n_original]
-        if orig:
-            r = min(orig)
-            reps.append(r)
-            rep_orig.append(True)
-            handles.append(r)
-        else:
-            r = min(ms)
-            reps.append(r)
-            rep_orig.append(False)
-            handles.append(r)
+    reps = _representatives(clusters, sub.n_original)
 
     if uf is not None:
         for cid, ms in enumerate(clusters):
@@ -328,13 +317,10 @@ def build_level1(sub: SubdividedMst, level0_scale: float, uf: UnionFind | None =
             tree_edges.append((ca, cb, w, eid))
 
     return ClusterLevel(
-        index=1,
         prev_scale=level0_scale,
         members=clusters,
         potentials=potentials,
         representatives=reps,
-        rep_is_original=rep_orig,
-        handles=handles,
         tree_edges=tree_edges,
         collapse=[False] * len(clusters),
     )
@@ -361,16 +347,6 @@ class ClusterGraph:
     @property
     def n_nodes(self) -> int:
         return len(self.node_weights)
-
-    def dump(self) -> str:
-        out = []
-        for cid, phi in enumerate(self.node_weights):
-            out.append(f"{cid} {phi!r} 1")
-        for cu, cv, w, _ in self.tree_edges:
-            out.append(f"tree {cu} {cv} {w!r}")
-        for cu, cv, w, _ in self.class_edges:
-            out.append(f"class {cu} {cv} {w!r}")
-        return "\n".join(out) + "\n"
 
 
 class _ChainIndex:
@@ -494,7 +470,7 @@ def build_cluster_graph(
     edge shadowed by a degree-<=2 tree path of augmented weight at most
     t(1 + 6*g*eps) times its own weight is deleted outright.
     """
-    root_to_cluster = {uf.find(h): cid for cid, h in enumerate(level.handles)}
+    root_to_cluster = {uf.find(r): cid for cid, r in enumerate(level.representatives)}
     best: dict[tuple[int, int], tuple[float, int, int, int]] = {}
     for eid in class_edge_ids:
         u, v, w = g.edges[eid]
@@ -553,22 +529,10 @@ def contract_level(level: ClusterLevel, subgraphs: "ClusteringOutcome", uf: Unio
     for cid, ms in enumerate(level.members):
         members[new_of[cid]].extend(ms)
 
+    reps = level.representatives
     for grp in groups:
-        base = level.handles[grp[0]]
         for c in grp[1:]:
-            uf.union(base, level.handles[c])
-
-    n_orig = uf.n_original
-    reps: list[int] = []
-    rep_orig: list[bool] = []
-    for ms in members:
-        orig = [v for v in ms if v < n_orig]
-        if orig:
-            reps.append(min(orig))
-            rep_orig.append(True)
-        else:
-            reps.append(min(ms))
-            rep_orig.append(False)
+            uf.union(reps[grp[0]], reps[c])
 
     best: dict[tuple[int, int], tuple[float, int, int, int]] = {}
     for cu, cv, w, src in level.tree_edges:
@@ -581,31 +545,19 @@ def contract_level(level: ClusterLevel, subgraphs: "ClusteringOutcome", uf: Unio
         if prev is None or cand[:2] < prev[:2]:
             best[key] = cand
 
-    parent = list(range(len(groups)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    forest = UnionFind(len(groups), len(groups))
     tree_edges: list[tuple[int, int, float, int]] = []
     for w, src, nu, nv in sorted(best.values(), key=lambda c: c[:2]):
-        ra, rb = find(nu), find(nv)
-        if ra != rb:
-            parent[ra] = rb
+        if forest.union(nu, nv):
             tree_edges.append((nu, nv, w, src))
     if len(tree_edges) != len(groups) - 1:
         raise ValueError("contracted tree does not span the new level")
 
     return ClusterLevel(
-        index=level.index + 1,
         prev_scale=subgraphs.level_scale,
         members=members,
         potentials=list(subgraphs.adm),
-        representatives=reps,
-        rep_is_original=rep_orig,
-        handles=list(reps),
+        representatives=_representatives(members, uf.n_original),
         tree_edges=tree_edges,
         collapse=list(subgraphs.collapse),
     )
@@ -623,7 +575,6 @@ class PotentialLedger:
     deltas: list[float] = field(default_factory=list)
     local_changes: list[list[float]] = field(default_factory=list)
     corrected_changes: list[list[float]] = field(default_factory=list)
-    corrective_terms: list[list[float]] = field(default_factory=list)
 
     def record_level(self, level: ClusterLevel) -> None:
         total = sum(level.potentials)
@@ -633,11 +584,4 @@ class PotentialLedger:
 
     def record_transition(self, local: list[float], corrective: list[float]) -> None:
         self.local_changes.append(list(local))
-        self.corrective_terms.append(list(corrective))
         self.corrected_changes.append([d + c for d, c in zip(local, corrective)])
-
-    def decay_ratios(self) -> list[float]:
-        out = []
-        for a, b in zip(self.phi_totals, self.phi_totals[1:]):
-            out.append(b / a if a > 0 else 0.0)
-        return out

@@ -32,10 +32,6 @@ class LevelSchedule:
     def busy_sigmas(self) -> list[int]:
         return sorted(self.per_sigma)
 
-    def max_level(self, sigma: int) -> int:
-        levels = self.per_sigma.get(sigma)
-        return max(levels) if levels else 0
-
 
 def _locate_level(w: float, base: float, eps: float, psi: float) -> tuple[int, bool]:
     """Smallest i >= 1 with w < base/eps^i, and whether w >= that threshold/(1+psi).
@@ -56,12 +52,14 @@ def _locate_level(w: float, base: float, eps: float, psi: float) -> tuple[int, b
     return i, w >= thr / (1.0 + psi)
 
 
-def classify_edges(g, w_bar: float, eps: float, psi: float) -> LevelSchedule:
-    """Assign every heavy edge to exactly one (sigma, i) cell.
+def classify_edges(g, mst_edge_ids: list[int], w_bar: float, eps: float, psi: float) -> LevelSchedule:
+    """Assign every heavy edge outside the MST to exactly one (sigma, i) cell.
 
-    Classes sigma < mu are tried in increasing order; edges matched by none
-    of them fall through to sigma = mu, which keeps the partition exhaustive
-    when the top class overlaps the next level of the bottom one.
+    MST edges go straight into the output (see reduce_over_sigma), so they
+    are neither light nor placed in a class.  Classes sigma < mu are tried
+    in increasing order; edges matched by none of them fall through to
+    sigma = mu, which keeps the partition exhaustive when the top class
+    overlaps the next level of the bottom one.
     """
     if not (0.0 < eps < 1.0):
         raise ValueError(f"eps must be in (0,1), got {eps}")
@@ -75,7 +73,10 @@ def classify_edges(g, w_bar: float, eps: float, psi: float) -> LevelSchedule:
     pow_psi = [1.0]
     for _ in range(mu):
         pow_psi.append(pow_psi[-1] * (1.0 + psi))
+    in_mst = set(mst_edge_ids)
     for eid, (_, _, w) in enumerate(g.edges):
+        if eid in in_mst:
+            continue
         if w <= light_cut:
             light.append(eid)
             continue

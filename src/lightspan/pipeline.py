@@ -33,8 +33,9 @@ from .hierarchy import (
     contract_level,
 )
 from .leveling import classify_edges, reduce_over_sigma
-from .ssa import DEFAULT_BETA, SsaInput, ssa_general, ssa_geom, ssa_minor
+from .ssa import DEFAULT_BETA, SsaInput, cone_selector, ssa_general, ssa_geom, ssa_minor
 from .unionfind import UnionFind
+from .verify import batched_stretch
 
 S_GENERAL = 2.0 * DEFAULT_BETA + 1.0
 S_GEOM = 2.0 * (19.0 * DEFAULT_BETA + 14.0)
@@ -246,23 +247,13 @@ def _transform(g: WeightedGraph, cfg: PipelineConfig, backend, timings: dict):
         timings.setdefault("leveling", 0.0)
         timings.setdefault("hierarchy", 0.0)
         timings.setdefault("ssa", 0.0)
-        return set(range(g.m)), mst_w, [], None
+        return set(range(g.m)), mst_ids, mst_w, [], None
 
     eps = cfg.eps()
     w_bar = eps * mst_w / g.n
     t0 = time.perf_counter()
     sub = subdivide_mst(g, mst_ids, w_bar)
-    schedule = classify_edges(g, w_bar, eps, cfg.psi_value())
-    mst_set = set(mst_ids)
-    schedule.light_edges = [e for e in schedule.light_edges if e not in mst_set]
-    for sigma in list(schedule.per_sigma):
-        cells = schedule.per_sigma[sigma]
-        for i in list(cells):
-            cells[i] = [e for e in cells[i] if e not in mst_set]
-            if not cells[i]:
-                del cells[i]
-        if not cells:
-            del schedule.per_sigma[sigma]
+    schedule = classify_edges(g, mst_ids, w_bar, eps, cfg.psi_value())
     timings["leveling"] = time.perf_counter() - t0
 
     ssa_clock = [0.0]
@@ -293,21 +284,22 @@ def _transform(g: WeightedGraph, cfg: PipelineConfig, backend, timings: dict):
         trace["n_extended"] = sub.extended_vertex_count
         trace["eps"] = eps
         trace["per_class_edges"] = {s: sorted(v) for s, v in per_class_sets.items()}
-    return h_all, mst_w, level_rows, trace
+    return h_all, mst_ids, mst_w, level_rows, trace
 
 
 # ---------------------------------------------------------------------------
 # certification
 
 
-def _certify(g: WeightedGraph, h_ids: set[int], cfg: PipelineConfig) -> tuple[float, int]:
+def _certify(
+    g: WeightedGraph, h_ids: set[int], mst_ids: list[int], cfg: PipelineConfig
+) -> tuple[float, int]:
     """Measured max stretch over input edges and its witness edge id."""
     from .verify import measure_stretch
 
     if g.n <= cfg.verify_cap:
         return measure_stretch(g, sorted(h_ids))
     rng = random.Random(cfg.seed)
-    mst_ids = build_mst(g)
     sample = set(mst_ids)
     pool = [i for i in range(g.m)]
     sample.update(rng.sample(pool, min(cfg.sample_size, len(pool))))
@@ -317,55 +309,6 @@ def _certify(g: WeightedGraph, h_ids: set[int], cfg: PipelineConfig) -> tuple[fl
     if not outside:
         return 1.0, -1
     return batched_stretch(g, sorted(h_ids), outside)
-
-
-def batched_stretch(
-    g: WeightedGraph, h_edge_ids: list[int], demand_ids: list[int]
-) -> tuple[float, int]:
-    """Same contract as measure_stretch over the given demand edges.
-
-    Runs scipy's Dijkstra in source blocks; used above the verification cap
-    where one pure-Python search per source is too slow.
-    """
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import dijkstra as cs_dijkstra
-
-    from .verify import NotSpanning
-
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    for i in h_edge_ids:
-        u, v, w = g.edges[i]
-        rows.extend((u, v))
-        cols.extend((v, u))
-        vals.extend((w, w))
-    mat = csr_matrix((vals, (rows, cols)), shape=(g.n, g.n))
-    by_src: dict[int, list[int]] = {}
-    for eid in demand_ids:
-        u, v, _ = g.edges[eid]
-        by_src.setdefault(min(u, v), []).append(eid)
-    sources = sorted(by_src)
-    best = 0.0
-    witness = -1
-    block = 256
-    for lo in range(0, len(sources), block):
-        chunk = sources[lo : lo + block]
-        dist = cs_dijkstra(mat, directed=False, indices=chunk)
-        for row, src in zip(dist, chunk):
-            for eid in by_src[src]:
-                u, v, w = g.edges[eid]
-                other = v if u == src else u
-                d = float(row[other])
-                if math.isinf(d):
-                    raise NotSpanning(f"no path between {u} and {v} in the candidate spanner")
-                ratio = d / w
-                if ratio > best or (ratio == best and eid < witness):
-                    best = ratio
-                    witness = eid
-    if witness < 0:
-        return 1.0, -1
-    return max(best, 1.0), witness
 
 
 def _result_stats(cfg, g, h_ids, mst_w, stretch, witness, level_rows, timings, scale=1.0, extra=None):
@@ -404,9 +347,9 @@ def _graph_driver(g: WeightedGraph, cfg: PipelineConfig, backend) -> SpannerResu
     g.validate()
     gn, scale = normalize(dedup_parallel(g))
     timings: dict = {}
-    h_ids, mst_w, level_rows, trace = _transform(gn, cfg, backend, timings)
+    h_ids, mst_ids, mst_w, level_rows, trace = _transform(gn, cfg, backend, timings)
     t0 = time.perf_counter()
-    stretch, witness = _certify(gn, h_ids, cfg)
+    stretch, witness = _certify(gn, h_ids, mst_ids, cfg)
     timings["verify"] = time.perf_counter() - t0
     stats = _result_stats(cfg, gn, h_ids, mst_w, stretch, witness, level_rows, timings, scale)
     edges = [(gn.edges[i][0], gn.edges[i][1], gn.edges[i][2] * scale) for i in sorted(h_ids)]
@@ -417,7 +360,7 @@ def light_spanner_general(g: WeightedGraph, cfg: PipelineConfig) -> SpannerResul
     cfg.validate()
     if cfg.mode != "general":
         raise ValueError(f"config mode is {cfg.mode!r}, expected 'general'")
-    return _graph_driver(g, cfg, _general_backend(cfg))
+    return _graph_driver(g, cfg, lambda inp: ssa_general(inp, cfg.k))
 
 
 def light_spanner_minor_free(g: WeightedGraph, cfg: PipelineConfig) -> SpannerResult:
@@ -443,7 +386,7 @@ def light_spanner_geometric(p: PointSet, cfg: PipelineConfig) -> SpannerResult:
 
     backend = lambda inp: ssa_geom(inp, p.d, _RepPositions(p, inp.reps))  # noqa: E731
     timings: dict = {"base": base_time}
-    h_ids, mst_w, level_rows, trace = _transform(base, cfg, backend, timings)
+    h_ids, _, mst_w, level_rows, trace = _transform(base, cfg, backend, timings)
     t0 = time.perf_counter()
     stretch, witness = _certify_geometric(p, base, h_ids, cfg)
     timings["verify"] = time.perf_counter() - t0
@@ -462,10 +405,6 @@ def light_spanner_geometric(p: PointSet, cfg: PipelineConfig) -> SpannerResult:
     return SpannerResult(
         edges=edges, edge_ids=sorted(h_ids), run_graph=base, stats=stats, trace=trace
     )
-
-
-def _general_backend(cfg: PipelineConfig):
-    return lambda inp: ssa_general(inp, cfg.k)
 
 
 class _RepPositions:
@@ -495,34 +434,10 @@ def _cone_angle(eps_base: float) -> float:
     return theta
 
 
-def _cone_selector(d: int, theta: float):
-    """(cone count, vec -> cone id) with same-cone angular spread <= theta."""
-    from .ssa import _cone_index_2d, _cone_index_net, direction_net
-
-    if d == 1:
-        return 2, lambda vec: 0 if vec[0] >= 0 else 1
-    if d == 2:
-        tau = max(1, math.ceil(2.0 * math.pi / theta))
-        return tau, lambda vec: _cone_index_2d(vec[0], vec[1], theta, tau)
-    # net resolution theta/2: two vectors sharing a nearest direction are
-    # within theta of each other
-    net = direction_net(d, theta / 2.0)
-    if len(net) > 64:
-        import numpy as np
-
-        mat = np.asarray(net)
-
-        def nearest(vec):
-            return int(np.argmax(mat @ vec))
-
-        return len(net), nearest
-    return len(net), lambda vec: _cone_index_net(vec, net)
-
-
 def _yao_base(p: PointSet, cfg: PipelineConfig) -> WeightedGraph:
     """Cone graph: per point and cone, the edge to the nearest neighbor."""
     theta = _cone_angle(cfg.eps_base())
-    _, cone_of = _cone_selector(p.d, theta)
+    _, cone_of = cone_selector(p.d, theta)
     chosen: set[tuple[int, int]] = set()
     for u in range(p.n):
         pu = p.points[u]
@@ -564,7 +479,7 @@ def _udg_base(p: PointSet, cfg: PipelineConfig) -> WeightedGraph:
     """
     r = cfg.radius
     theta = _cone_angle(cfg.eps_base())
-    _, cone_of = _cone_selector(p.d, theta)
+    _, cone_of = cone_selector(p.d, theta)
     buckets = _grid_buckets(p, r)
     offsets = _cell_offsets(p.d)
     chosen: set[tuple[int, int]] = set()

@@ -136,13 +136,36 @@ def _cone_index_net(vec: tuple[float, ...], net: list[tuple[float, ...]]) -> int
     return best
 
 
+def cone_selector(d: int, theta: float):
+    """(cone count, vec -> cone id) with same-cone angular spread <= theta."""
+    if d == 1:
+        return 2, lambda vec: 0 if vec[0] >= 0 else 1
+    if d == 2:
+        tau = _cone_count_2d(theta)
+        return tau, lambda vec: _cone_index_2d(vec[0], vec[1], theta, tau)
+    # net resolution theta/2: two vectors sharing a nearest direction are
+    # within theta of each other
+    net = direction_net(d, theta / 2.0)
+    if len(net) > 64:
+        import numpy as np
+
+        mat = np.asarray(net)
+
+        def nearest(vec):
+            return int(np.argmax(mat @ vec))
+
+        return len(net), nearest
+    return len(net), lambda vec: _cone_index_net(vec, net)
+
+
 # ---------------------------------------------------------------------------
 # backends
 
 
 def ssa_geom(inp: SsaInput, d: int, positions) -> SsaOutput:
-    """Keep, per node and per cone of angular width eps, the nearest neighbor.
+    """Keep, per node and per cone of angular spread eps, the nearest neighbor.
 
+    Cones come from cone_selector(d, eps), as in the geometric base graphs.
     positions maps a node id to its representative point in R^d.  Ties on
     distance break toward the lower node id, then the lower source edge id.
     """
@@ -154,8 +177,7 @@ def ssa_geom(inp: SsaInput, d: int, positions) -> SsaOutput:
             raise ValueError(f"strict cone mode needs eps <= {cap}, got {inp.eps}")
     if d < 1:
         raise DimensionMismatch(f"dimension must be positive, got {d}")
-    net = direction_net(d, inp.eps) if d >= 3 else None
-    tau = 2 if d == 1 else (_cone_count_2d(inp.eps) if d == 2 else len(net))
+    tau, cone_of = cone_selector(d, inp.eps)
 
     incident: dict[int, list[int]] = {v: [] for v in inp.nodes}
     for idx, (u, v, _, _) in enumerate(inp.edges):
@@ -173,12 +195,7 @@ def ssa_geom(inp: SsaInput, d: int, positions) -> SsaOutput:
             v = b if a == u else a
             pv = positions[v]
             vec = tuple(x - y for x, y in zip(pv, pu))
-            if d == 1:
-                cone = 0 if vec[0] >= 0 else 1
-            elif d == 2:
-                cone = _cone_index_2d(vec[0], vec[1], inp.eps, tau)
-            else:
-                cone = _cone_index_net(vec, net)
+            cone = cone_of(vec)
             dist = math.sqrt(sum(c * c for c in vec))
             cand = (dist, v, src, idx)
             cur = best.get(cone)

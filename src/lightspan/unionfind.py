@@ -1,4 +1,8 @@
-"""Union-Find over original vertices with pointer-based virtual resolution.
+"""Union-Find, with pointer-based resolution for virtual vertices.
+
+The one union-find of the package.  Kruskal sweeps (the MST, the contracted
+tree of each level) use it over plain ids with no virtual vertices; the
+hierarchy uses it over the extended vertex set of the subdivided MST.
 
 Only original vertices live in the parent/rank forest.  A virtual vertex x
 (created by MST subdivision) resolves through a pointer p(x) to an original
@@ -23,12 +27,6 @@ class UnionFind:
         # pure-virtual clusters: member -> list head, head -> member list
         self.vhead: dict[int, int] = {}
         self.vlist: dict[int, list[int]] = {}
-
-    def add_virtual_singleton(self, x: int) -> None:
-        """Register virtual vertex x as its own pure-virtual cluster."""
-        self._check_virtual(x)
-        self.vhead[x] = x
-        self.vlist[x] = [x]
 
     def set_pointer(self, x: int, original: int) -> None:
         """Attach virtual x to the cluster of an original vertex."""
@@ -65,10 +63,11 @@ class UnionFind:
         # an unregistered virtual is its own singleton cluster
         return self.vhead.get(x, x)
 
-    def union(self, a: int, b: int) -> None:
+    def union(self, a: int, b: int) -> bool:
+        """Merge the clusters of a and b; False when they were already one."""
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
-            return
+            return False
         for r in (ra, rb):
             if r >= self.n_original and r not in self.vlist:
                 self.vhead[r] = r
@@ -97,11 +96,4 @@ class UnionFind:
                 self.vhead[x] = ra
             la.extend(lb)
             del self.vlist[rb]
-
-
-def uf_find(uf: UnionFind, x: int) -> int:
-    return uf.find(x)
-
-
-def uf_union(uf: UnionFind, a: int, b: int) -> None:
-    uf.union(a, b)
+        return True

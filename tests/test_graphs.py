@@ -164,7 +164,6 @@ def test_subdivision_pieces_respect_bound():
         assert math.isclose(pieces * sub.piece_weights[j], w, rel_tol=1e-12)
     # the subdivided tree is still a tree on the extended vertex set
     assert len(sub.tree_edges) == sub.extended_vertex_count - 1
-    assert len(sub.tree_edges) == len(sub.tree_edge_owner)
     assert sub.virtual_count == sum(len(c) for c in sub.segments)
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -13,8 +14,10 @@ from lightspan.hierarchy import (
     PotentialLedger,
     UnsupportedShape,
     augmented_diameter,
+    ClusterLevel,
     build_cluster_graph,
     build_level1,
+    contract_level,
 )
 from lightspan.unionfind import UnionFind
 
@@ -137,12 +140,12 @@ def test_level1_cluster_scale_window():
 def test_level1_representatives_prefer_original_vertices():
     _, _, sub = _subdivided(5)
     lvl = build_level1(sub, 1.6)
-    for ms, rep, orig in zip(lvl.members, lvl.representatives, lvl.rep_is_original):
+    for ms, rep in zip(lvl.members, lvl.representatives):
         originals = [v for v in ms if v < sub.n_original]
         if originals:
-            assert orig and rep == min(originals)
+            assert rep == min(originals)
         else:
-            assert not orig and rep == min(ms)
+            assert rep == min(ms) and rep >= sub.n_original
 
 
 def test_level1_rejects_scale_below_piece_size():
@@ -195,6 +198,41 @@ def test_cluster_graph_keeps_min_parallel_edge():
     cg = build_cluster_graph(lvl, ids3, g2, uf, 3.0, 0.3, level_scale=0.005, w_bar=sub.w_bar)
     kept = [(w, src) for _, _, w, src in cg.class_edges]
     assert kept == [(0.004, g.m + 1)]
+
+
+# ---------------------------------------------------------------------------
+# contraction
+
+
+def test_contract_level_closes_cycles_into_a_spanning_tree():
+    # level tree: path 0-1-2-3-4 over five single-vertex clusters.  Groups
+    # A={0,3}, B={1,4}, C={2} (A and B glued by class edges, not by the
+    # tree) turn it into a triangle A-B-C with two parallel A-B candidates.
+    lvl = ClusterLevel(
+        prev_scale=1.0,
+        members=[[v] for v in range(5)],
+        potentials=[1.0] * 5,
+        representatives=list(range(5)),
+        tree_edges=[
+            (0, 1, 2.0, 50),  # A-B, loses the tie on source id
+            (1, 2, 1.0, 60),  # B-C
+            (2, 3, 3.0, 70),  # C-A, closes the cycle
+            (3, 4, 2.0, 9),  # A-B, kept candidate
+        ],
+    )
+    uf = UnionFind(5, 5)
+    outcome = SimpleNamespace(
+        groups=[[0, 3], [1, 4], [2]], level_scale=4.0, adm=[5.0, 6.0, 7.0], collapse=[False] * 3
+    )
+    nxt = contract_level(lvl, outcome, uf)
+    # one candidate per node pair, min (weight, source id), then Kruskal
+    assert nxt.tree_edges == [(1, 2, 1.0, 60), (0, 1, 2.0, 9)]
+    assert len(nxt.tree_edges) == nxt.cluster_count - 1
+    assert nxt.members == [[0, 3], [1, 4], [2]]
+    assert nxt.representatives == [0, 1, 2]
+    assert nxt.potentials == [5.0, 6.0, 7.0]
+    assert uf.find(0) == uf.find(3) and uf.find(1) == uf.find(4)
+    assert len({uf.find(r) for r in nxt.representatives}) == 3
 
 
 def test_ledger_records_levels_and_transitions():

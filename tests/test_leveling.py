@@ -5,19 +5,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import weighted_graph
-from lightspan.graphs import WeightedGraph
+from lightspan.graphs import WeightedGraph, build_mst
 from lightspan.leveling import classify_edges, reduce_over_sigma
 
 
 def test_mu_matches_formula():
-    sch = classify_edges(WeightedGraph(2, [(0, 1, 1.0)]), w_bar=10.0, eps=0.1, psi=0.5)
+    sch = classify_edges(WeightedGraph(2, [(0, 1, 1.0)]), [], w_bar=10.0, eps=0.1, psi=0.5)
     assert sch.mu == math.ceil(math.log(1.0 / 0.1) / math.log(1.5))
 
 
 def test_light_cut():
     # w_bar/eps = 4: weights at or below it are light, heavier ones are not
     g = WeightedGraph(4, [(0, 1, 3.9), (1, 2, 4.0), (2, 3, 4.1)])
-    sch = classify_edges(g, w_bar=1.0, eps=0.25, psi=0.25)
+    sch = classify_edges(g, [], w_bar=1.0, eps=0.25, psi=0.25)
     assert sch.light_edges == [0, 1]
     assert set(sch.assignment) == {2}
 
@@ -37,7 +37,7 @@ def test_every_heavy_weight_lands_in_a_valid_cell(w, eps, psi):
     w_bar = 1.0
     weight = w * w_bar / eps  # strictly above the light cut
     g = WeightedGraph(2, [(0, 1, weight)])
-    sch = classify_edges(g, w_bar=w_bar, eps=eps, psi=psi)
+    sch = classify_edges(g, [], w_bar=w_bar, eps=eps, psi=psi)
     assert sch.light_edges == []
     (sigma, i) = sch.assignment[0]
     assert 1 <= sigma <= sch.mu
@@ -49,9 +49,10 @@ def test_every_heavy_weight_lands_in_a_valid_cell(w, eps, psi):
 @settings(max_examples=40, deadline=None)
 def test_classification_is_a_partition(seed):
     g = weighted_graph(12, 30, seed, lo=0.1, hi=5000.0)
-    sch = classify_edges(g, w_bar=1.0, eps=0.2, psi=0.3)
+    mst_ids = build_mst(g)
+    sch = classify_edges(g, mst_ids, w_bar=1.0, eps=0.2, psi=0.3)
     placed = set(sch.light_edges) | set(sch.assignment)
-    assert placed == set(range(g.m))
+    assert placed == set(range(g.m)) - set(mst_ids)
     assert not set(sch.light_edges) & set(sch.assignment)
     listed = [e for cells in sch.per_sigma.values() for ids in cells.values() for e in ids]
     assert sorted(listed) == sorted(sch.assignment)
@@ -62,7 +63,7 @@ def test_lower_class_wins_when_windows_overlap():
     # it must not land in a higher class even if one also covers it
     w_bar, eps, psi = 1.0, 0.1, 0.5
     g0 = WeightedGraph(2, [(0, 1, 14.0)])
-    sch = classify_edges(g0, w_bar=w_bar, eps=eps, psi=psi)
+    sch = classify_edges(g0, [], w_bar=w_bar, eps=eps, psi=psi)
     sigma, i = sch.assignment[0]
     assert _window_contains(sch, sigma, i, 14.0)
     for lower in range(1, sigma):
@@ -73,14 +74,14 @@ def test_lower_class_wins_when_windows_overlap():
 def test_classify_rejects_bad_parameters():
     g = WeightedGraph(2, [(0, 1, 1.0)])
     with pytest.raises(ValueError):
-        classify_edges(g, w_bar=1.0, eps=1.5, psi=0.5)
+        classify_edges(g, [], w_bar=1.0, eps=1.5, psi=0.5)
     with pytest.raises(ValueError):
-        classify_edges(g, w_bar=1.0, eps=0.5, psi=0.0)
+        classify_edges(g, [], w_bar=1.0, eps=0.5, psi=0.0)
 
 
 def test_reduce_over_sigma_unions_tree_light_and_classes():
     g = weighted_graph(10, 20, seed=1, lo=0.5, hi=800.0)
-    sch = classify_edges(g, w_bar=1.0, eps=0.25, psi=0.5)
+    sch = classify_edges(g, [], w_bar=1.0, eps=0.25, psi=0.5)
     mst_ids = list(range(9))  # any id list works for the union contract
     calls = []
 

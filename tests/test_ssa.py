@@ -12,6 +12,7 @@ from lightspan.ssa import (
     _cone_count_2d,
     _cone_index_2d,
     _sampling_spanner,
+    cone_selector,
     direction_net,
     ssa_general,
     ssa_geom,
@@ -132,6 +133,26 @@ def test_direction_net_rejects_low_dimension():
 
     with pytest.raises(DimensionMismatch):
         direction_net(2, 0.3)
+
+
+@pytest.mark.parametrize("d, samples", [(1, 200), (2, 600), (3, 4000)])
+def test_same_cone_vectors_lie_within_theta(d, samples):
+    theta = 0.6
+    count, cone_of = cone_selector(d, theta)
+    rng = random.Random(11 + d)
+    by_cone: dict[int, list[list[float]]] = {}
+    for _ in range(samples):
+        vec = tuple(rng.gauss(0, 1) for _ in range(d))
+        cone = cone_of(vec)
+        assert 0 <= cone < count
+        norm = math.sqrt(sum(c * c for c in vec))
+        by_cone.setdefault(cone, []).append([c / norm for c in vec])
+    assert any(len(units) > 1 for units in by_cone.values())
+    for units in by_cone.values():
+        for a in units:
+            for b in units:
+                cos = sum(x * y for x, y in zip(a, b))
+                assert math.acos(max(-1.0, min(1.0, cos))) <= theta + 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 import oracles
 from conftest import weighted_graph
 from lightspan.graphs import WeightedGraph, build_mst
-from lightspan.pipeline import PipelineConfig, batched_stretch, light_spanner_general
+from lightspan.pipeline import PipelineConfig, light_spanner_general
 from lightspan.verify import (
     NotSpanning,
     VerificationReport,
+    batched_stretch,
     check_hierarchy,
     greedy_spanner,
     measure_stretch,
