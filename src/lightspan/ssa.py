@@ -150,11 +150,7 @@ def cone_selector(d: int, theta: float):
         import numpy as np
 
         mat = np.asarray(net)
-
-        def nearest(vec):
-            return int(np.argmax(mat @ vec))
-
-        return len(net), nearest
+        return len(net), lambda vec: int(np.argmax(mat @ vec))
     return len(net), lambda vec: _cone_index_net(vec, net)
 
 
