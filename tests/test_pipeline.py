@@ -239,6 +239,36 @@ GOLDEN = {
         ),
         "faf7577d828836727264094c6fa8e187132e436fb8f8242eef2474c4d368803b",
     ),
+    # geometric certification above verify_cap: seeded pair samples
+    "euclidean-sampled": (
+        lambda: light_spanner_geometric(
+            uniform_points(600, 2, 7),
+            PipelineConfig(mode="euclidean", dim=2, eps_user=0.25, verify_cap=100, sample_size=200),
+        ),
+        "e1c04648be33c34ef57c3b63e7f5d81b9ee14fb094501d10e4d2b43dab29b645",
+    ),
+    "udg-sampled": (
+        lambda: light_spanner_geometric(
+            uniform_points(600, 2, 7),
+            PipelineConfig(
+                mode="udg", dim=2, radius=0.1, eps_user=0.25, verify_cap=100, sample_size=200
+            ),
+        ),
+        "7833200d20d7c14f706b55edc6f644f55da3ecca3044659fe64f3cb94b3de4b0",
+    ),
+    # unit-disk grids in other dimensions
+    "udg-1d": (
+        lambda: light_spanner_geometric(
+            uniform_points(200, 1, 7), PipelineConfig(mode="udg", dim=1, radius=0.05, eps_user=0.25)
+        ),
+        "a56a60b770d40a0609291bff8dc729025864a6b921a3552725870f55249e524d",
+    ),
+    "udg-3d": (
+        lambda: light_spanner_geometric(
+            uniform_points(150, 3, 7), PipelineConfig(mode="udg", dim=3, radius=0.35, eps_user=0.25)
+        ),
+        "47734564aa74b4d565b8ee4d77c2dd98fd94852f8c6ff2d9666ab7e1d54849e6",
+    ),
 }
 
 
