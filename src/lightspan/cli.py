@@ -81,16 +81,16 @@ def _manifest(args, inputs: list[str], outputs: list[str]) -> dict:
 
 
 def _config_from_args(args, mode: str) -> PipelineConfig:
+    # --k exists on build general only, --radius on build udg only
+    knobs = {key: getattr(args, key) for key in ("k", "radius") if hasattr(args, key)}
     return PipelineConfig(
         mode=mode,
-        k=args.k,
-        dim=getattr(args, "dim", 2),
-        radius=args.radius,
         eps_user=args.epsilon,
         psi=args.psi,
         seed=args.seed,
         strict=args.strict,
         trace=args.trace is not None,
+        **knobs,
     )
 
 
@@ -141,14 +141,13 @@ def cmd_build(args) -> int:
         stats = res.stats
         trace = res.trace
 
-    stats["manifest"] = _manifest(args, [args.input], [args.out, args.stats, args.trace])
+    trace_path = getattr(args, "trace", None)  # build greedy has no --trace
+    stats["manifest"] = _manifest(args, [args.input], [args.out, args.stats, trace_path])
     _write(args.out, format_graph(result_graph))
     if args.stats:
         _write(args.stats, json.dumps(stats, indent=2) + "\n")
-    if args.trace:
-        if trace is None:
-            raise ValueError("trace output requested but no trace was recorded")
-        _write(args.trace, json.dumps(trace) + "\n")
+    if trace_path:
+        _write(trace_path, json.dumps(trace) + "\n")
     if args.out not in (None, "-"):
         summary = {
             "stretch_measured": stats.get("stretch_measured"),
@@ -322,18 +321,21 @@ def _build_parser() -> argparse.ArgumentParser:
     for mode in ("general", "euclidean", "udg", "minor", "greedy"):
         sp = pbs.add_parser(mode)
         sp.add_argument("input", help="graph or point file")
+        sp.add_argument("--out", default=None, help="spanner edge list path (default stdout)")
+        sp.add_argument("--stats", default=None, help="stats JSON path")
+        sp.set_defaults(func=cmd_build)
+        if mode == "greedy":
+            sp.add_argument("--t", type=float, default=3.0, help="greedy stretch bound")
+            continue
         sp.add_argument("--epsilon", type=float, default=0.25)
-        sp.add_argument("--k", type=int, default=2)
-        sp.add_argument("--radius", type=float, default=1.0)
+        if mode == "general":
+            sp.add_argument("--k", type=int, default=2)
+        if mode == "udg":
+            sp.add_argument("--radius", type=float, default=1.0)
         sp.add_argument("--psi", type=float, default=None)
         sp.add_argument("--strict", action="store_true")
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--trace", default=None, help="write the hierarchy trace JSON here")
-        sp.add_argument("--out", default=None, help="spanner edge list path (default stdout)")
-        sp.add_argument("--stats", default=None, help="stats JSON path")
-        if mode == "greedy":
-            sp.add_argument("--t", type=float, default=3.0, help="greedy stretch bound")
-        sp.set_defaults(func=cmd_build)
 
     pg = sub.add_parser("gen", help="write a seeded instance")
     pgs = pg.add_subparsers(dest="target", required=True)

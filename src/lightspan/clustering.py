@@ -40,18 +40,12 @@ class ClusteringOutcome:
     tags: list[str]
     adm: list[float]
     local_change: list[float]
-    corrective: list[float]
     corrected_change: list[float]
     node_kind: list[str]
     degenerate: bool
     collapse: list[bool]
     level_scale: float
     counters: dict[str, int] = field(default_factory=dict)
-
-
-def corrected_potential(x: Subgraph, local_change: float, cg: ClusterGraph) -> float:
-    """Local potential drop plus the weight of the tree edges consumed by x."""
-    return local_change + sum(cg.tree_edges[t][2] for t in x.tree_eids)
 
 
 class _State:
@@ -123,6 +117,30 @@ class _State:
             self.tick("scan")
         return nodes, total
 
+    def components(self):
+        """(nodes, total augmented weight) of each ungrouped component, in the
+        order of their least nodes, each seeded at that node."""
+        seen = [False] * self.n
+        for v in range(self.n):
+            if self.alive(v) and not seen[v]:
+                comp, total = self.component(v)
+                for u in comp:
+                    seen[u] = True
+                yield comp, total
+
+    def long_path(self, comp: list[int], total: float):
+        """diameter_path(comp) when its Adm is >= 6L, else None."""
+        if total < 6 * self.L:  # Adm <= total
+            return None
+        found = self.diameter_path(comp)
+        return found if found[3] >= 6 * self.L else None
+
+    def take_window(self, xid: int, path: list[int], eids: list[int], lo: int, hi: int) -> None:
+        """Group path[lo..hi] into part xid with the path edges between them."""
+        for v in path[lo : hi + 1]:
+            self.assign(v, xid)
+        self.parts[xid].tree_eids.extend(eids[lo:hi])
+
     def farthest(self, src: int, members: set[int]) -> tuple[int, float, dict[int, float]]:
         """Deepest node by augmented distance within the ungrouped component."""
         dist = {src: self.w[src]}
@@ -161,11 +179,8 @@ class _State:
             cur = nxt[0]
         path.reverse()
         eids.reverse()
-        pre = [self.w[path[0]]]
-        for j in range(1, len(path)):
-            wt = self.cg.tree_edges[eids[j - 1]][2]
-            pre.append(pre[-1] + wt + self.w[path[j]])
-        return path, pre, eids, adm
+        # dist[] sums from a along the path: the prefix sums of the path
+        return path, [dist[v] for v in path], eids, adm
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +191,6 @@ def step1_high_nodes(state: _State) -> list[int]:
     """Group every heavily-connected node and its class neighborhood into stars."""
     thresh = 2.0 * state.g / state.eps
     high = [v for v in range(state.n) if len(state.class_adj[v]) >= thresh]
-    high_set = set(high)
     blocked = [False] * state.n
 
     for center in high:
@@ -192,39 +206,26 @@ def step1_high_nodes(state: _State) -> list[int]:
             state.parts[xid].class_eids.append(cid)
         state.tick("step1", len(closed))
 
-    for v in high:
+    # leftover heavy nodes, then their neighbors, join the least grouped
+    # class neighbor's part
+    for v in high + [u for center in high for u, _, _ in state.class_adj[center]]:
         if state.owner[v] != -1:
             continue
         host = min(
             (u for u, _, _ in state.class_adj[v] if state.owner[u] != -1),
             default=None,
         )
-        assert host is not None, "ungrouped heavy node with no grouped neighbor"
+        assert host is not None, "ungrouped step-1 node with no grouped neighbor"
         cid = next(c for u, _, c in state.class_adj[v] if u == host)
         xid = state.owner[host]
         state.assign(v, xid)
         state.parts[xid].class_eids.append(cid)
         state.tick("step1")
 
-    for center in high:
-        for v, _, _ in state.class_adj[center]:
-            if state.owner[v] != -1:
-                continue
-            host = min(
-                (u for u, _, _ in state.class_adj[v] if state.owner[u] != -1),
-                default=None,
-            )
-            assert host is not None
-            cid = next(c for u, _, c in state.class_adj[v] if u == host)
-            xid = state.owner[host]
-            state.assign(v, xid)
-            state.parts[xid].class_eids.append(cid)
-            state.tick("step1")
-
     if state.strict:
         for x in state.parts:
             assert len(x.nodes) >= thresh, "step-1 part below its size bound"
-    return sorted(high_set)
+    return high
 
 
 # ---------------------------------------------------------------------------
@@ -272,29 +273,19 @@ def step2_branching(state: _State) -> None:
     """
     L = state.L
     retired = [False] * state.n
-    seeds: deque[int] = deque()
-    seen0 = [False] * state.n
-    for v in range(state.n):
-        if state.alive(v) and not seen0[v]:
-            comp, _ = state.component(v)
-            for u in comp:
-                seen0[u] = True
-            seeds.append(min(comp))
+    seeds = deque(comp[0] for comp, _ in state.components())
 
     while seeds:
         seed = seeds.popleft()
         if not state.alive(seed) or retired[seed]:
             continue
         comp, total = state.component(seed)
-        if total < 6 * L:
+        found = state.long_path(comp, total)
+        if found is None:
             for v in comp:
                 retired[v] = True
             continue
-        path, pre, _, adm = state.diameter_path(comp)
-        if adm < 6 * L:
-            for v in comp:
-                retired[v] = True
-            continue
+        path, pre, _, _ = found
 
         pos = {v: j for j, v in enumerate(path)}
         seg_start = 0
@@ -366,22 +357,10 @@ def step2_branching(state: _State) -> None:
 
 
 def step3_augment(state: _State) -> None:
-    seen = [False] * state.n
     movers: list[int] = []
-    for v in range(state.n):
-        if not state.alive(v) or seen[v]:
-            continue
-        comp, total = state.component(v)
-        for u in comp:
-            seen[u] = True
-        adm = total
-        if total >= 6 * state.L:
-            _, _, _, adm = state.diameter_path(comp)
-        if adm < 6 * state.L:
-            continue
-        for u in comp:
-            if len(state.tree_adj[u]) >= 3:
-                movers.append(u)
+    for comp, total in state.components():
+        if state.long_path(comp, total) is not None:
+            movers.extend(u for u in comp if len(state.tree_adj[u]) >= 3)
     for phi in sorted(movers):
         host_edge = None
         for u, _, tid in state.tree_adj[phi]:
@@ -410,18 +389,11 @@ class _Paths:
         self.pres: list[list[float]] = []
         self.eids: list[list[int]] = []
         self.color = [""] * state.n
-        seen = [False] * state.n
-        for v in range(state.n):
-            if not state.alive(v) or seen[v]:
+        for comp, total in state.components():
+            found = state.long_path(comp, total)
+            if found is None:
                 continue
-            comp, total = state.component(v)
-            for u in comp:
-                seen[u] = True
-            if total < 6 * state.L:
-                continue
-            path, pre, peids, adm = state.diameter_path(comp)
-            if adm < 6 * state.L:
-                continue
+            path, pre, peids, _ = found
             assert len(path) == len(comp), "long tree survived the earlier steps unpathed"
             pid = len(self.paths)
             self.paths.append(path)
@@ -494,10 +466,7 @@ def step4_blue_pairs(state: _State) -> None:
         state.parts[xid].class_eids.append(cid)
         for pid, lo, hi in windows:
             path = paths.paths[pid]
-            for j in range(lo, hi + 1):
-                state.assign(path[j], xid)
-            for j in range(lo, hi):
-                state.parts[xid].tree_eids.append(paths.eids[pid][j])
+            state.take_window(xid, path, paths.eids[pid], lo, hi)
             if lo - 1 >= 0 and state.alive(path[lo - 1]):
                 paths.recolor_inward(pid, lo - 1, -1)
             if hi + 1 < len(path) and state.alive(path[hi + 1]):
@@ -514,31 +483,18 @@ def step4_blue_pairs(state: _State) -> None:
 
 
 def step5_paths(state: _State) -> bool:
-    degenerate = not any(x.tag in ("Step1", "Step2", "Step4") for x in state.parts)
     grouped_tags = ("Step1", "Step2", "Step4")
-    seen = [False] * state.n
-    for v in range(state.n):
-        if not state.alive(v) or seen[v]:
-            continue
-        comp, total = state.component(v)
-        for u in comp:
-            seen[u] = True
+    degenerate = not any(x.tag in grouped_tags for x in state.parts)
+    for comp, total in state.components():
         adm = total
-        path = pre = peids = None
+        path = peids = None
         if total >= state.L:
-            path, pre, peids, adm = state.diameter_path(comp)
+            path, _, peids, adm = state.diameter_path(comp)
 
         if adm <= 6 * state.L:
             if degenerate:
                 xid = state.new_part("Step5-pref")
-                x = state.parts[xid]
-                x.collapse = adm < state.L
-                inner = set(comp)
-                for u in sorted(comp):
-                    state.assign(u, xid)
-                    for nb, _, tid in state.tree_adj[u]:
-                        if nb in inner and nb > u:
-                            x.tree_eids.append(tid)
+                state.parts[xid].collapse = adm < state.L
             else:
                 host = None
                 for u in comp:
@@ -549,14 +505,13 @@ def step5_paths(state: _State) -> bool:
                                 host = (nb, tid)
                 assert host is not None, "short tree with no grouped neighbor"
                 xid = state.owner[host[0]]
-                x = state.parts[xid]
-                x.tree_eids.append(host[1])
-                inner = set(comp)
-                for u in sorted(comp):
-                    state.assign(u, xid)
-                    for nb, _, tid in state.tree_adj[u]:
-                        if nb in inner and nb > u:
-                            x.tree_eids.append(tid)
+                state.parts[xid].tree_eids.append(host[1])
+            inner = set(comp)
+            for u in sorted(comp):
+                state.assign(u, xid)
+                for nb, _, tid in state.tree_adj[u]:
+                    if nb in inner and nb > u:
+                        state.parts[xid].tree_eids.append(tid)
             state.tick("step5", len(comp))
             continue
 
@@ -565,9 +520,6 @@ def step5_paths(state: _State) -> bool:
         if path[0] > path[-1]:
             path.reverse()
             peids.reverse()
-            pre = [state.w[path[0]]]
-            for j in range(1, len(path)):
-                pre.append(pre[-1] + state.cg.tree_edges[peids[j - 1]][2] + state.w[path[j]])
         pieces: list[tuple[int, int]] = []  # [start, end] index windows
         start = 0
         acc = state.w[path[0]]
@@ -590,10 +542,7 @@ def step5_paths(state: _State) -> bool:
             # that part past the diameter window
             is_end = lo == 0 or hi == len(path) - 1
             xid = state.new_part("Step5-pref" if is_end else "Step5-intrnl")
-            for j in range(lo, hi + 1):
-                state.assign(path[j], xid)
-            for j in range(lo, hi):
-                state.parts[xid].tree_eids.append(peids[j])
+            state.take_window(xid, path, peids, lo, hi)
             state.tick("step5", hi - lo + 1)
     return degenerate
 
@@ -643,7 +592,6 @@ def cluster_level(cg: ClusterGraph, eps: float, strict: bool = False) -> Cluster
     analyzed = eps <= STRICT_EPS
     adm: list[float] = []
     local: list[float] = []
-    corrective: list[float] = []
     corrected: list[float] = []
     for x in state.parts:
         nw = {v: cg.node_weights[v] for v in x.nodes}
@@ -656,10 +604,10 @@ def cluster_level(cg: ClusterGraph, eps: float, strict: bool = False) -> Cluster
         ]
         a = augmented_diameter(NodeWeightedSubgraph(nw, edges))
         d = sum(nw.values()) - a
-        dplus = corrected_potential(x, d, cg)
+        # corrected drop: the local drop plus the tree edges x consumes
+        dplus = d + sum(cg.tree_edges[t][2] for t in x.tree_eids)
         adm.append(a)
         local.append(d)
-        corrective.append(dplus - d)
         corrected.append(dplus)
         if analyzed:
             assert dplus >= -1e-9 * state.L, f"corrected potential drop went negative: {dplus}"
@@ -677,7 +625,6 @@ def cluster_level(cg: ClusterGraph, eps: float, strict: bool = False) -> Cluster
         tags=[x.tag for x in state.parts],
         adm=adm,
         local_change=local,
-        corrective=corrective,
         corrected_change=corrected,
         node_kind=kind,
         degenerate=degenerate,

@@ -582,6 +582,6 @@ class PotentialLedger:
         if len(self.phi_totals) >= 2:
             self.deltas.append(self.phi_totals[-2] - self.phi_totals[-1])
 
-    def record_transition(self, local: list[float], corrective: list[float]) -> None:
+    def record_transition(self, local: list[float], corrected: list[float]) -> None:
         self.local_changes.append(list(local))
-        self.corrected_changes.append([d + c for d, c in zip(local, corrective)])
+        self.corrected_changes.append(list(corrected))

@@ -11,6 +11,7 @@ the metric the result is certified against.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import time
@@ -195,7 +196,7 @@ def _class_spanner(g, sub, schedule, sigma, cfg, backend, ssa_clock, level_rows,
         outcome = cluster_level(cg, cfg.eps(), strict=cfg.strict)
         h_i = build_hi(cg, outcome, backend, cfg, ssa_clock)
         kept |= h_i
-        ledger.record_transition(outcome.local_change, outcome.corrective)
+        ledger.record_transition(outcome.local_change, outcome.corrected_change)
         row = {
             "sigma": sigma,
             "i": i,
@@ -378,10 +379,7 @@ def light_spanner_geometric(p: PointSet, cfg: PipelineConfig) -> SpannerResult:
     if cfg.dim != p.d:
         raise ValueError(f"config dim {cfg.dim} does not match points dim {p.d}")
     t0 = time.perf_counter()
-    if cfg.mode == "udg":
-        base = _udg_base(p, cfg)
-    else:
-        base = _yao_base(p, cfg)
+    base = _yao_base(p, cfg)
     base_time = time.perf_counter() - t0
 
     backend = lambda inp: ssa_geom(inp, p.d, _RepPositions(p, inp.reps))  # noqa: E731
@@ -434,90 +432,55 @@ def _cone_angle(eps_base: float) -> float:
     return theta
 
 
-def _yao_base(p: PointSet, cfg: PipelineConfig) -> WeightedGraph:
-    """Cone graph: per point and cone, the edge to the nearest neighbor."""
-    theta = _cone_angle(cfg.eps_base())
-    _, cone_of = cone_selector(p.d, theta)
-    chosen: set[tuple[int, int]] = set()
-    for u in range(p.n):
-        pu = p.points[u]
-        best: dict[int, tuple[float, int]] = {}
-        for v in range(p.n):
-            if v == u:
-                continue
-            vec = tuple(a - b for a, b in zip(p.points[v], pu))
-            cand = (math.sqrt(sum(c * c for c in vec)), v)
-            cone = cone_of(vec)
-            if cone not in best or cand < best[cone]:
-                best[cone] = cand
-        for _, v in best.values():
-            chosen.add((u, v) if u < v else (v, u))
-    edges = [(u, v, p.distance(u, v)) for u, v in sorted(chosen)]
-    return WeightedGraph(p.n, edges)
+def _neighbours(p: PointSet, cfg: PipelineConfig):
+    """u -> the (v, distance) candidates of point u: every other point, or
+    in udg mode every point within the radius.
 
-
-def _grid_buckets(p: PointSet, cell: float) -> dict[tuple[int, ...], list[int]]:
-    buckets: dict[tuple[int, ...], list[int]] = {}
-    for i in range(p.n):
-        key = tuple(int(math.floor(c / cell)) for c in p.points[i])
-        buckets.setdefault(key, []).append(i)
-    return buckets
-
-
-def _cell_offsets(d: int) -> list[tuple[int, ...]]:
-    offsets: list[tuple[int, ...]] = [()]
-    for _ in range(d):
-        offsets = [o + (s,) for o in offsets for s in (-1, 0, 1)]
-    return offsets
-
-
-def _udg_base(p: PointSet, cfg: PipelineConfig) -> WeightedGraph:
-    """Unit-disk cone graph: nearest neighbor per cone among in-range points.
-
-    Grid buckets with cell side = radius keep the neighbor scan local; all
-    in-range pairs live in adjacent cells.
+    Unit-disk candidates come from grid buckets of cell side = radius, so
+    every in-range pair lies in adjacent cells; they are listed cell by cell
+    in itertools.product order, ascending within a cell.
     """
+    if cfg.mode != "udg":
+        return lambda u: [(v, p.distance(u, v)) for v in range(p.n) if v != u]
     r = cfg.radius
-    theta = _cone_angle(cfg.eps_base())
-    _, cone_of = cone_selector(p.d, theta)
-    buckets = _grid_buckets(p, r)
-    offsets = _cell_offsets(p.d)
-    chosen: set[tuple[int, int]] = set()
-    for u in range(p.n):
-        pu = p.points[u]
-        key = tuple(int(math.floor(c / r)) for c in pu)
-        best: dict[int, tuple[float, int]] = {}
+    buckets: dict[tuple[int, ...], list[int]] = {}
+    for i, pt in enumerate(p.points):
+        buckets.setdefault(tuple(math.floor(c / r) for c in pt), []).append(i)
+    offsets = list(itertools.product((-1, 0, 1), repeat=p.d))
+
+    def near(u: int):
+        key = tuple(math.floor(c / r) for c in p.points[u])
         for off in offsets:
             for v in buckets.get(tuple(k + s for k, s in zip(key, off)), ()):
-                if v == u:
-                    continue
-                vec = tuple(a - b for a, b in zip(p.points[v], pu))
-                dist = math.sqrt(sum(c * c for c in vec))
-                if dist > r:
-                    continue
-                cand = (dist, v)
-                cone = cone_of(vec)
-                if cone not in best or cand < best[cone]:
-                    best[cone] = cand
-        for _, v in best.values():
-            chosen.add((u, v) if u < v else (v, u))
+                if v != u and (dist := p.distance(u, v)) <= r:
+                    yield v, dist
+
+    return near
+
+
+def _yao_base(p: PointSet, cfg: PipelineConfig) -> WeightedGraph:
+    """Cone graph: per point and cone, the edge to the nearest candidate.
+
+    In udg mode the candidates are the in-range points, which makes this
+    the unit-disk cone graph.
+    """
+    _, cone_of = cone_selector(p.d, _cone_angle(cfg.eps_base()))
+    near = _neighbours(p, cfg)
+    chosen: set[tuple[int, int]] = set()
+    for u, pu in enumerate(p.points):
+        best: dict[int, tuple[float, int]] = {}
+        for v, dist in near(u):
+            cone = cone_of(tuple(a - b for a, b in zip(p.points[v], pu)))
+            if cone not in best or (dist, v) < best[cone]:
+                best[cone] = (dist, v)
+        chosen.update((min(u, v), max(u, v)) for _, v in best.values())
     edges = [(u, v, p.distance(u, v)) for u, v in sorted(chosen)]
     return WeightedGraph(p.n, edges)
 
 
-def _udg_metric_edges(p: PointSet, radius: float) -> list[tuple[int, int, float]]:
-    """Every pair within the radius, found through the grid."""
-    buckets = _grid_buckets(p, radius)
-    edges = []
-    for u in range(p.n):
-        key = tuple(int(math.floor(c / radius)) for c in p.points[u])
-        for off in _cell_offsets(p.d):
-            for v in buckets.get(tuple(k + s for k, s in zip(key, off)), ()):
-                if v > u:
-                    d = p.distance(u, v)
-                    if d <= radius:
-                        edges.append((u, v, d))
-    return edges
+# bench/test_bench.py reads pipeline._udg_base and monkeypatches the base
+# builder through its __name__, so the old name stays as an alias
+_udg_base = _yao_base
 
 
 def _certify_geometric(p: PointSet, base: WeightedGraph, h_ids: set[int], cfg: PipelineConfig):
@@ -530,29 +493,21 @@ def _certify_geometric(p: PointSet, base: WeightedGraph, h_ids: set[int], cfg: P
     from .verify import measure_stretch
 
     pairs: dict[tuple[int, int], float] = {}
-    if p.n <= cfg.verify_cap:
-        if cfg.mode == "udg":
-            for u, v, w in _udg_metric_edges(p, cfg.radius):
-                pairs[(u, v)] = w
-        else:
-            for u in range(p.n):
-                for v in range(u + 1, p.n):
-                    pairs[(u, v)] = p.distance(u, v)
-        demand = None  # certify every pair
-    else:
+    if cfg.mode == "euclidean" and p.n > cfg.verify_cap:
         rng = random.Random(cfg.seed)
-        if cfg.mode == "udg":
-            in_range = _udg_metric_edges(p, cfg.radius)
-            for u, v, w in rng.sample(in_range, min(cfg.sample_size, len(in_range))):
-                pairs[(u, v)] = w
-        else:
-            want = min(cfg.sample_size, p.n * (p.n - 1) // 2)
-            while len(pairs) < want:
-                u = rng.randrange(p.n)
-                v = rng.randrange(p.n)
-                if u != v:
-                    pairs[(min(u, v), max(u, v))] = p.distance(u, v)
-        demand = set(pairs)
+        want = min(cfg.sample_size, p.n * (p.n - 1) // 2)
+        while len(pairs) < want:
+            u = rng.randrange(p.n)
+            v = rng.randrange(p.n)
+            if u != v:
+                pairs[(min(u, v), max(u, v))] = p.distance(u, v)
+    else:
+        near = _neighbours(p, cfg)
+        in_range = [((u, v), w) for u in range(p.n) for v, w in near(u) if v > u]
+        if p.n > cfg.verify_cap:
+            in_range = random.Random(cfg.seed).sample(in_range, min(cfg.sample_size, len(in_range)))
+        pairs.update(in_range)
+    demand = None if p.n <= cfg.verify_cap else set(pairs)  # None: every pair
 
     for i in h_ids:
         u, v, w = base.edges[i]

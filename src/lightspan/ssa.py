@@ -118,6 +118,11 @@ def direction_net(d: int, eps: float) -> list[tuple[float, ...]]:
     if d < 3:
         raise DimensionMismatch("direction nets are for d >= 3")
     steps = max(1, math.ceil(2.0 * math.sqrt(2.0 * d) / eps))
+    # refuse before allocating: each face's grid has one point per
+    # composition of steps into d parts
+    size = 2**d * math.comb(steps + d - 1, d - 1)
+    if size > 2**20:
+        raise ValueError(f"a direction net for eps={eps} at d={d} needs {size} > 2^20 grid points")
     out: list[tuple[float, ...]] = []
     seen: set = set()
     for mask in range(1 << d):

@@ -139,3 +139,22 @@ def max_stretch(
         if ratio > worst:
             worst = ratio
     return worst
+
+
+def yao_graph(
+    points: list[tuple[float, ...]], cone_of, radius: float | None = None
+) -> list[tuple[int, int, float]]:
+    """Cone graph by brute force over every ordered pair: per point and cone
+    (cone_of maps a difference vector to a cone id), the edge to the nearest
+    other point, ties to the lower id; with a radius, only pairs within it."""
+    chosen = set()
+    for u, pu in enumerate(points):
+        best: dict = {}
+        for v, pv in enumerate(points):
+            dist = math.dist(pu, pv)
+            if v == u or (radius is not None and dist > radius):
+                continue
+            cone = cone_of(tuple(b - a for a, b in zip(pu, pv)))
+            best[cone] = min(best.get(cone, (INF, v)), (dist, v))
+        chosen.update((min(u, v), max(u, v)) for _, v in best.values())
+    return [(u, v, math.dist(points[u], points[v])) for u, v in sorted(chosen)]

@@ -1,6 +1,8 @@
 import csv
 import json
 
+import pytest
+
 from lightspan.cli import main
 from lightspan.graphs import parse_graph
 
@@ -132,6 +134,38 @@ def test_build_greedy(tmp_path, capsys):
     summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert summary["stretch_measured"] <= 3.0 + 1e-9
     assert run("verify", "graph", str(g), "--spanner", str(h), "--stretch", "3.0") == 0
+
+
+def test_build_greedy_has_no_trace_flag(tmp_path, capsys):
+    g = tmp_path / "g.graph"
+    g.write_text("3 3\n0 1 1.0\n1 2 1.0\n0 2 1.0\n")
+    out, trace = tmp_path / "h.graph", tmp_path / "trace.json"
+    with pytest.raises(SystemExit) as exc:
+        run("build", "greedy", str(g), "--out", str(out), "--trace", str(trace))
+    assert exc.value.code == 2
+    assert "--trace" in capsys.readouterr().err
+    assert not out.exists() and not trace.exists()
+
+
+def test_build_flags_are_per_mode(tmp_path):
+    g = tmp_path / "g.graph"
+    g.write_text("2 1\n0 1 1.0\n")
+    for argv in (
+        ("build", "general", str(g), "--radius", "0.5"),
+        ("build", "minor", str(g), "--k", "3"),
+        ("build", "euclidean", str(g), "--k", "3"),
+        ("build", "greedy", str(g), "--epsilon", "0.1"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, "--out", "-")
+        assert exc.value.code == 2
+
+
+def test_high_dimension_cone_net_is_a_usage_error(tmp_path, capsys):
+    p = tmp_path / "p.points"
+    p.write_text("5 4\n" + "".join(f"{i} {i * i} {-i} {i % 2}\n" for i in range(5)))
+    assert run("build", "euclidean", str(p), "--out", str(tmp_path / "h.graph")) == 2
+    assert "grid points" in capsys.readouterr().err
 
 
 def test_missing_input_is_io_error(tmp_path):

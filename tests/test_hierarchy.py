@@ -247,7 +247,7 @@ def test_ledger_records_levels_and_transitions():
         potentials = [4.0]
 
     led.record_level(Lvl2())
-    led.record_transition([1.5, -0.5], [0.25, 0.25])
+    led.record_transition([1.5, -0.5], [1.75, -0.25])
     assert led.phi_totals == [5.0, 4.0]
     assert led.deltas == [1.0]
     assert led.local_changes == [[1.5, -0.5]]

@@ -1,9 +1,16 @@
 import hashlib
 import json
 import math
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lightspan
+import oracles
 from conftest import weighted_graph
 from lightspan.generate import planar_triangulation, random_connected_graph, uniform_points
 from lightspan.graphs import DisconnectedGraph, PointSet, WeightedGraph, build_mst
@@ -15,11 +22,14 @@ from lightspan.pipeline import (
     S_GEOM,
     S_MINOR,
     PipelineConfig,
+    _cone_angle,
+    _yao_base,
     light_spanner_general,
     light_spanner_geometric,
     light_spanner_minor_free,
     stretch_rho,
 )
+from lightspan.ssa import cone_selector
 
 STATS_KEYS = {
     "mode",
@@ -330,3 +340,40 @@ def test_udg_disconnected_raises():
     cfg = PipelineConfig(mode="udg", dim=2, radius=0.5, eps_user=0.2)
     with pytest.raises(DisconnectedGraph):
         light_spanner_geometric(p, cfg)
+
+
+@pytest.mark.parametrize("mode", ["euclidean", "udg"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_yao_base_matches_brute_force(d, mode):
+    # r = 0.5 is exact in binary: coordinates on multiples of r sit on grid
+    # cell boundaries, and some pairs lie at exactly distance r
+    r = 0.5
+    rng = random.Random(d)
+    coords = lambda: rng.choice([rng.uniform(-1.0, 1.0), r * rng.randint(-2, 2)])  # noqa: E731
+    p = PointSet(d, sorted({tuple(coords() for _ in range(d)) for _ in range(40)}))
+    cfg = PipelineConfig(mode=mode, dim=d, radius=r)
+    _, cone_of = cone_selector(d, _cone_angle(cfg.eps_base()))
+    want = oracles.yao_graph(p.points, cone_of, r if mode == "udg" else None)
+    assert _yao_base(p, cfg).edges == want
+
+
+def test_2d_geometric_builds_load_neither_numpy_nor_scipy():
+    # numpy and scipy would add tens of MB to the peak memory of every
+    # geometric build; small ones stay in pure Python, sampled
+    # certification (n above verify_cap) included
+    script = (
+        "import sys\n"
+        "from lightspan.generate import uniform_points\n"
+        "from lightspan.pipeline import PipelineConfig, light_spanner_geometric\n"
+        "for mode in ('euclidean', 'udg'):\n"
+        "    for cap in (500, 50):\n"
+        "        cfg = PipelineConfig(mode=mode, radius=0.3, verify_cap=cap, sample_size=100)\n"
+        "        light_spanner_geometric(uniform_points(80, 2, 1), cfg)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))\n"
+    )
+    src = str(Path(lightspan.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -135,6 +135,14 @@ def test_direction_net_rejects_low_dimension():
         direction_net(2, 0.3)
 
 
+def test_direction_net_refuses_oversized_grids():
+    # the Yao base's cone angle at the default eps_base: 100,488 grid points
+    # at d = 3, 16.6 million at d = 4, refused before anything is allocated
+    assert cone_selector(3, 0.0625)[0] > 64
+    with pytest.raises(ValueError, match="grid points"):
+        cone_selector(4, 0.0625)
+
+
 @pytest.mark.parametrize("d, samples", [(1, 200), (2, 600), (3, 4000)])
 def test_same_cone_vectors_lie_within_theta(d, samples):
     theta = 0.6
