@@ -41,7 +41,7 @@ def main() -> None:
 
         t0 = time.perf_counter()
         res = light_spanner_geometric(
-            p, PipelineConfig(mode="euclidean", dim=args.dim, eps_user=args.epsilon, seed=seed)
+            p, PipelineConfig(mode="euclidean", eps_user=args.epsilon, seed=seed)
         )
         ours_t = time.perf_counter() - t0
         ours_light = res.stats["lightness"]

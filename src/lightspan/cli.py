@@ -130,7 +130,6 @@ def cmd_build(args) -> int:
         cfg = _config_from_args(args, mode)
         if mode in ("euclidean", "udg"):
             p = parse_points(text)
-            cfg.dim = p.d
             res = light_spanner_geometric(p, cfg)
             result_graph = WeightedGraph(p.n, res.edges)
         else:
@@ -244,6 +243,8 @@ def cmd_sweep(args) -> int:
     values = [_num(v) for v in args.values.split(",") if v]
     if not values:
         raise ValueError("sweep needs at least one value")
+    if args.param == "k" and args.mode != "general":
+        raise ValueError(f"--param k only reaches general mode, not {args.mode}")
     rows = []
     for value in values:
         for seed in range(args.seeds):
@@ -284,9 +285,7 @@ def _sweep_run(args, value, seed: int) -> dict:
         seed=seed, strict=args.strict,
     )
     if args.mode in ("euclidean", "udg"):
-        p = uniform_points(n, args.d, seed)
-        cfg.dim = args.d
-        res = light_spanner_geometric(p, cfg)
+        res = light_spanner_geometric(uniform_points(n, args.d, seed), cfg)
     elif args.mode == "minor":
         res = light_spanner_minor_free(planar_triangulation(n, seed), cfg)
     else:

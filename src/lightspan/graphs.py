@@ -218,7 +218,7 @@ def build_mst(g: WeightedGraph) -> list[int]:
     Raises DisconnectedGraph when g has more than one component.
     """
     order = sorted(range(g.m), key=lambda i: (g.edges[i][2], min(g.edges[i][:2]), max(g.edges[i][:2])))
-    uf = UnionFind(g.n, g.n)
+    uf = UnionFind(g.n)
     tree: list[int] = []
     for i in order:
         u, v, _ = g.edges[i]

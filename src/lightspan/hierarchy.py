@@ -175,6 +175,8 @@ class ClusterLevel:
     representatives: list[int]
     # contracted tree over cluster ids: (cu, cv, weight, subdivided tree edge id)
     tree_edges: list[tuple[int, int, float, int]]
+    # original vertex -> id of the cluster holding it
+    cluster_of: list[int]
     # class-edge scale this level serves; the driver fills it in
     scale: float = 0.0
     # clusters exempt from the lower potential bound (terminal base cases)
@@ -219,7 +221,7 @@ def _induced_tree_diameter(members: list[int], adj, member_set: set[int]) -> flo
     return d
 
 
-def build_level1(sub: SubdividedMst, level0_scale: float, uf: UnionFind | None = None) -> ClusterLevel:
+def build_level1(sub: SubdividedMst, level0_scale: float) -> ClusterLevel:
     """First partition of the subdivided MST into low-diameter subtrees.
 
     Bottom-up carve: walking the tree in post order, a subtree is cut as soon
@@ -297,19 +299,6 @@ def build_level1(sub: SubdividedMst, level0_scale: float, uf: UnionFind | None =
     ]
     reps = _representatives(clusters, sub.n_original)
 
-    if uf is not None:
-        for cid, ms in enumerate(clusters):
-            orig = [v for v in ms if v < sub.n_original]
-            virt = [v for v in ms if v >= sub.n_original]
-            if orig:
-                first = orig[0]
-                for v in orig[1:]:
-                    uf.union(first, v)
-                for x in virt:
-                    uf.set_pointer(x, first)
-            else:
-                uf.make_virtual_cluster(virt)
-
     tree_edges: list[tuple[int, int, float, int]] = []
     for eid, (a, b, w) in enumerate(sub.tree_edges):
         ca, cb = cluster_of[a], cluster_of[b]
@@ -322,6 +311,7 @@ def build_level1(sub: SubdividedMst, level0_scale: float, uf: UnionFind | None =
         potentials=potentials,
         representatives=reps,
         tree_edges=tree_edges,
+        cluster_of=cluster_of[: sub.n_original],
         collapse=[False] * len(clusters),
     )
 
@@ -456,7 +446,6 @@ def build_cluster_graph(
     level: ClusterLevel,
     class_edge_ids: list[int],
     g: WeightedGraph,
-    uf: UnionFind,
     t: float,
     eps: float,
     *,
@@ -465,17 +454,18 @@ def build_cluster_graph(
 ) -> ClusterGraph:
     """Lift one weight class onto the cluster nodes of the current level.
 
-    Endpoints map through the union-find; self-loops are dropped, parallel
-    edges keep the minimum weight (ties by source edge id), and any class
-    edge shadowed by a degree-<=2 tree path of augmented weight at most
-    t(1 + 6*g*eps) times its own weight is deleted outright.
+    Endpoints map through the level's cluster_of (class edges join original
+    vertices); self-loops are dropped, parallel edges keep the minimum
+    weight (ties by source edge id), and any class edge shadowed by a
+    degree-<=2 tree path of augmented weight at most t(1 + 6*g*eps) times
+    its own weight is deleted outright.
     """
-    root_to_cluster = {uf.find(r): cid for cid, r in enumerate(level.representatives)}
+    cluster_of = level.cluster_of
     best: dict[tuple[int, int], tuple[float, int, int, int]] = {}
     for eid in class_edge_ids:
         u, v, w = g.edges[eid]
-        cu = root_to_cluster[uf.find(u)]
-        cv = root_to_cluster[uf.find(v)]
+        cu = cluster_of[u]
+        cv = cluster_of[v]
         if cu == cv:
             continue
         key = (cu, cv) if cu < cv else (cv, cu)
@@ -506,7 +496,7 @@ def build_cluster_graph(
     )
 
 
-def contract_level(level: ClusterLevel, subgraphs: "ClusteringOutcome", uf: UnionFind) -> ClusterLevel:
+def contract_level(level: ClusterLevel, subgraphs: "ClusteringOutcome") -> ClusterLevel:
     """Merge each chosen subgraph into one next-level cluster.
 
     New potentials are the subgraphs' augmented diameters.  The next
@@ -529,11 +519,6 @@ def contract_level(level: ClusterLevel, subgraphs: "ClusteringOutcome", uf: Unio
     for cid, ms in enumerate(level.members):
         members[new_of[cid]].extend(ms)
 
-    reps = level.representatives
-    for grp in groups:
-        for c in grp[1:]:
-            uf.union(reps[grp[0]], reps[c])
-
     best: dict[tuple[int, int], tuple[float, int, int, int]] = {}
     for cu, cv, w, src in level.tree_edges:
         nu, nv = new_of[cu], new_of[cv]
@@ -545,7 +530,7 @@ def contract_level(level: ClusterLevel, subgraphs: "ClusteringOutcome", uf: Unio
         if prev is None or cand[:2] < prev[:2]:
             best[key] = cand
 
-    forest = UnionFind(len(groups), len(groups))
+    forest = UnionFind(len(groups))
     tree_edges: list[tuple[int, int, float, int]] = []
     for w, src, nu, nv in sorted(best.values(), key=lambda c: c[:2]):
         if forest.union(nu, nv):
@@ -557,31 +542,8 @@ def contract_level(level: ClusterLevel, subgraphs: "ClusteringOutcome", uf: Unio
         prev_scale=subgraphs.level_scale,
         members=members,
         potentials=list(subgraphs.adm),
-        representatives=_representatives(members, uf.n_original),
+        representatives=_representatives(members, len(level.cluster_of)),
         tree_edges=tree_edges,
+        cluster_of=[new_of[c] for c in level.cluster_of],
         collapse=list(subgraphs.collapse),
     )
-
-
-# ---------------------------------------------------------------------------
-# potential bookkeeping across levels
-
-
-@dataclass
-class PotentialLedger:
-    """Per-level potential totals and the local drops that pay for new edges."""
-
-    phi_totals: list[float] = field(default_factory=list)
-    deltas: list[float] = field(default_factory=list)
-    local_changes: list[list[float]] = field(default_factory=list)
-    corrected_changes: list[list[float]] = field(default_factory=list)
-
-    def record_level(self, level: ClusterLevel) -> None:
-        total = sum(level.potentials)
-        self.phi_totals.append(total)
-        if len(self.phi_totals) >= 2:
-            self.deltas.append(self.phi_totals[-2] - self.phi_totals[-1])
-
-    def record_transition(self, local: list[float], corrected: list[float]) -> None:
-        self.local_changes.append(list(local))
-        self.corrected_changes.append(list(corrected))

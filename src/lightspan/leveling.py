@@ -1,4 +1,4 @@
-"""Weight classes for heavy edges and the outer per-class reduction.
+"""Weight classes for heavy edges.
 
 Heavy edges (weight above w_bar/eps) are split into mu classes indexed by
 sigma; within a class, level i collects edges with weight in
@@ -29,9 +29,6 @@ class LevelSchedule:
         """L_i = (1+psi)^sigma * w_bar / eps^i (same expression the classifier uses)."""
         return self.w_bar * (1.0 + self.psi) ** sigma / self.eps**i
 
-    def busy_sigmas(self) -> list[int]:
-        return sorted(self.per_sigma)
-
 
 def _locate_level(w: float, base: float, eps: float, psi: float) -> tuple[int, bool]:
     """Smallest i >= 1 with w < base/eps^i, and whether w >= that threshold/(1+psi).
@@ -55,7 +52,7 @@ def _locate_level(w: float, base: float, eps: float, psi: float) -> tuple[int, b
 def classify_edges(g, mst_edge_ids: list[int], w_bar: float, eps: float, psi: float) -> LevelSchedule:
     """Assign every heavy edge outside the MST to exactly one (sigma, i) cell.
 
-    MST edges go straight into the output (see reduce_over_sigma), so they
+    MST edges go straight into the output (see pipeline._transform), so they
     are neither light nor placed in a class.  Classes sigma < mu are tried
     in increasing order; edges matched by none of them fall through to
     sigma = mu, which keeps the partition exhaustive when the top class
@@ -96,20 +93,3 @@ def classify_edges(g, mst_edge_ids: list[int], w_bar: float, eps: float, psi: fl
         assignment[eid] = placed
     return LevelSchedule(psi=psi, eps=eps, mu=mu, w_bar=w_bar, light_edges=light,
                          per_sigma=per_sigma, assignment=assignment)
-
-
-def reduce_over_sigma(g, mst_edge_ids: list[int], schedule: LevelSchedule, per_class_spanner) -> tuple[set[int], dict[int, set[int]]]:
-    """Union of MST, light edges and one spanner per busy class.
-
-    per_class_spanner(sigma) must return a set of edge ids covering the
-    class's own edges with the target stretch.  Returns (all edge ids,
-    per-sigma contribution) so lightness can be attributed per class.
-    """
-    out: set[int] = set(mst_edge_ids)
-    out.update(schedule.light_edges)
-    per_class: dict[int, set[int]] = {}
-    for sigma in schedule.busy_sigmas():
-        h_sigma = per_class_spanner(sigma)
-        per_class[sigma] = set(h_sigma)
-        out.update(h_sigma)
-    return out, per_class

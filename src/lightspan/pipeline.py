@@ -26,16 +26,9 @@ from .graphs import (
     normalize,
     subdivide_mst,
 )
-from .hierarchy import (
-    POTENTIAL_RATIO,
-    PotentialLedger,
-    build_cluster_graph,
-    build_level1,
-    contract_level,
-)
-from .leveling import classify_edges, reduce_over_sigma
+from .hierarchy import POTENTIAL_RATIO, build_cluster_graph, build_level1, contract_level
+from .leveling import classify_edges
 from .ssa import DEFAULT_BETA, SsaInput, cone_selector, ssa_general, ssa_geom, ssa_minor
-from .unionfind import UnionFind
 from .verify import batched_stretch
 
 S_GENERAL = 2.0 * DEFAULT_BETA + 1.0
@@ -58,7 +51,6 @@ RHO_MINOR = stretch_rho(S_MINOR)
 class PipelineConfig:
     mode: str = "general"  # general | euclidean | udg | minor
     k: int = 2
-    dim: int = 2
     radius: float = 1.0
     eps_user: float = 0.25
     eps_internal: float | None = None
@@ -181,22 +173,18 @@ def _class_spanner(g, sub, schedule, sigma, cfg, backend, ssa_clock, level_rows,
         return set()
     max_i = max(cells)
     trace_levels = None if trace_sigma is None else trace_sigma["levels"]
-    uf = UnionFind(g.n, sub.extended_vertex_count)
-    lvl = build_level1(sub, schedule.level_threshold(sigma, 0), uf)
-    ledger = PotentialLedger()
-    ledger.record_level(lvl)
+    lvl = build_level1(sub, schedule.level_threshold(sigma, 0))
     kept: set[int] = set()
     rows_here: list[dict] = []
     for i in range(1, max_i + 1):
         li = schedule.level_threshold(sigma, i)
         lvl.scale = li
         cg = build_cluster_graph(
-            lvl, cells.get(i, []), g, uf, cfg.t(), cfg.eps(), level_scale=li, w_bar=sub.w_bar
+            lvl, cells.get(i, []), g, cfg.t(), cfg.eps(), level_scale=li, w_bar=sub.w_bar
         )
         outcome = cluster_level(cg, cfg.eps(), strict=cfg.strict)
         h_i = build_hi(cg, outcome, backend, cfg, ssa_clock)
         kept |= h_i
-        ledger.record_transition(outcome.local_change, outcome.corrected_change)
         row = {
             "sigma": sigma,
             "i": i,
@@ -223,17 +211,18 @@ def _class_spanner(g, sub, schedule, sigma, cfg, backend, ssa_clock, level_rows,
                     "degenerate": outcome.degenerate,
                 }
             )
-        lvl = contract_level(lvl, outcome, uf)
-        ledger.record_level(lvl)
+        lvl = contract_level(lvl, outcome)
         if lvl.cluster_count == 1 and not any(cells.get(j) for j in range(i + 1, max_i + 1)):
             break
     level_rows.extend(rows_here)
-    if trace_sigma is not None:
+    if trace_levels is not None:
+        # potential totals per level, the last one after the final contraction
+        phi = [row["phi"] for row in rows_here] + [sum(lvl.potentials)]
         trace_sigma["ledger"] = {
-            "phi_totals": list(ledger.phi_totals),
-            "deltas": list(ledger.deltas),
-            "local_changes": [list(r) for r in ledger.local_changes],
-            "corrected_changes": [list(r) for r in ledger.corrected_changes],
+            "phi_totals": phi,
+            "deltas": [a - b for a, b in zip(phi, phi[1:])],
+            "local_changes": [list(row["local_change"]) for row in trace_levels],
+            "corrected_changes": [list(row["corrected_change"]) for row in trace_levels],
         }
     return kept
 
@@ -261,17 +250,19 @@ def _transform(g: WeightedGraph, cfg: PipelineConfig, backend, timings: dict):
     level_rows: list[dict] = []
     trace: dict | None = {"per_sigma": {}} if cfg.trace else None
     t0 = time.perf_counter()
-
-    def per_class(sigma: int) -> set[int]:
+    # the MST and the light edges go straight into the output; each busy
+    # weight class adds its own spanner
+    h_all: set[int] = set(mst_ids)
+    h_all.update(schedule.light_edges)
+    per_class: dict[int, set[int]] = {}
+    for sigma in sorted(schedule.per_sigma):
         trace_sigma = None
         if trace is not None:
-            trace_sigma = {"levels": [], "ledger": None}
-            trace["per_sigma"][sigma] = trace_sigma
-        return _class_spanner(
+            trace_sigma = trace["per_sigma"][sigma] = {"levels": [], "ledger": None}
+        per_class[sigma] = _class_spanner(
             g, sub, schedule, sigma, cfg, backend, ssa_clock, level_rows, trace_sigma
         )
-
-    h_all, per_class_sets = reduce_over_sigma(g, mst_ids, schedule, per_class)
+        h_all |= per_class[sigma]
     timings["hierarchy"] = time.perf_counter() - t0 - ssa_clock[0]
     timings["ssa"] = ssa_clock[0]
     if trace is not None:
@@ -284,7 +275,7 @@ def _transform(g: WeightedGraph, cfg: PipelineConfig, backend, timings: dict):
         trace["n_original"] = g.n
         trace["n_extended"] = sub.extended_vertex_count
         trace["eps"] = eps
-        trace["per_class_edges"] = {s: sorted(v) for s, v in per_class_sets.items()}
+        trace["per_class_edges"] = {s: sorted(v) for s, v in per_class.items()}
     return h_all, mst_ids, mst_w, level_rows, trace
 
 
@@ -376,8 +367,6 @@ def light_spanner_geometric(p: PointSet, cfg: PipelineConfig) -> SpannerResult:
     if cfg.mode not in ("euclidean", "udg"):
         raise ValueError(f"config mode is {cfg.mode!r}, expected a geometric mode")
     p.validate()
-    if cfg.dim != p.d:
-        raise ValueError(f"config dim {cfg.dim} does not match points dim {p.d}")
     t0 = time.perf_counter()
     base = _yao_base(p, cfg)
     base_time = time.perf_counter() - t0

@@ -76,7 +76,7 @@ def test_acceptance_2_geometric_stretch():
     for seed in range(20):
         p = uniform_points(200, 2, seed=seed)
         cfg = PipelineConfig(
-            mode="euclidean", dim=2, eps_user=0.25, eps_internal=0.01, psi=0.25, seed=seed
+            mode="euclidean", eps_user=0.25, eps_internal=0.01, psi=0.25, seed=seed
         )
         res = light_spanner_geometric(p, cfg)
         bound = (1.0 + cfg.eps_base()) * (1.0 + 2.0 * (19.0 * 62.0 + 14.0) * 0.01)
@@ -122,13 +122,13 @@ def test_acceptance_3_ledger_suite():
     runs.append(
         light_spanner_geometric(
             uniform_points(120, 2, seed=2),
-            PipelineConfig(mode="euclidean", dim=2, eps_user=0.2, trace=True),
+            PipelineConfig(mode="euclidean", eps_user=0.2, trace=True),
         )
     )
     runs.append(
         light_spanner_geometric(
             uniform_points(250, 2, seed=3),
-            PipelineConfig(mode="udg", dim=2, radius=0.2, eps_user=0.2, trace=True),
+            PipelineConfig(mode="udg", radius=0.2, eps_user=0.2, trace=True),
         )
     )
     checked = 0
@@ -361,7 +361,7 @@ def test_acceptance_8_geometric_lightness():
         kept = greedy_spanner(metric, 1.0 + eps)
         greedy_light = sum(metric.edges[i][2] for i in kept) / mst_w
         res = light_spanner_geometric(
-            p, PipelineConfig(mode="euclidean", dim=2, eps_user=eps, seed=seed)
+            p, PipelineConfig(mode="euclidean", eps_user=eps, seed=seed)
         )
         ratios.append(res.stats["lightness"] / greedy_light)
     worst = max(ratios)

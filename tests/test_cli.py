@@ -206,6 +206,13 @@ def test_sweep_csv_shape(tmp_path):
     assert all(float(r["stretch_measured"]) >= 1.0 for r in rows)
 
 
+def test_sweep_k_outside_general_mode_is_a_usage_error(capsys):
+    for mode in ("euclidean", "udg", "minor"):
+        code = run("sweep", "--mode", mode, "--param", "k", "--values", "2,3", "--seeds", "1", "--n", "20")
+        assert code == 2
+        assert "--param k" in capsys.readouterr().err
+
+
 def test_sweep_epsilon_param(tmp_path):
     out = tmp_path / "rows.csv"
     code = run(

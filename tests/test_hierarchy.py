@@ -11,7 +11,6 @@ from conftest import weighted_graph
 from lightspan.graphs import build_mst, subdivide_mst
 from lightspan.hierarchy import (
     NodeWeightedSubgraph,
-    PotentialLedger,
     UnsupportedShape,
     augmented_diameter,
     ClusterLevel,
@@ -19,7 +18,6 @@ from lightspan.hierarchy import (
     build_level1,
     contract_level,
 )
-from lightspan.unionfind import UnionFind
 
 
 def _random_tree(n, rng):
@@ -160,8 +158,7 @@ def test_level1_rejects_scale_below_piece_size():
 
 def test_cluster_graph_drops_shadowed_edges():
     g, ids, sub = _subdivided(2, n=10, m=20, w_bar=0.6)
-    uf = UnionFind(g.n, sub.extended_vertex_count)
-    lvl = build_level1(sub, 1.2, uf)
+    lvl = build_level1(sub, 1.2)
     eps = 0.01
     t = 3.0
     slack = t * (1.0 + 6.0 * 31 * eps)
@@ -172,8 +169,8 @@ def test_cluster_graph_drops_shadowed_edges():
     heavy_id = len(extra)
     extra.append((cu, cv, 10_000.0))
     g2 = type(g)(g.n, extra)
-    cg = build_cluster_graph(lvl, [heavy_id], g2, uf, t, eps, level_scale=5.0, w_bar=sub.w_bar)
-    if uf.find(cu) != uf.find(cv):
+    cg = build_cluster_graph(lvl, [heavy_id], g2, t, eps, level_scale=5.0, w_bar=sub.w_bar)
+    if lvl.cluster_of[cu] != lvl.cluster_of[cv]:
         # adjacent clusters joined by one tree piece: shadow weight is well
         # under slack * 10000, so the class edge must be gone
         assert cg.class_edges == []
@@ -181,21 +178,20 @@ def test_cluster_graph_drops_shadowed_edges():
 
 def test_cluster_graph_keeps_min_parallel_edge():
     g, ids, sub = _subdivided(4, n=8, m=12, w_bar=0.7)
-    uf = UnionFind(g.n, sub.extended_vertex_count)
-    lvl = build_level1(sub, 1.4, uf)
+    lvl = build_level1(sub, 1.4)
     # find two vertices in different clusters
     pairs = [
         (u, v)
         for u in range(g.n)
         for v in range(u + 1, g.n)
-        if uf.find(u) != uf.find(v)
+        if lvl.cluster_of[u] != lvl.cluster_of[v]
     ]
     u, v = pairs[0]
     # weights far below any tree path so the shadow test cannot delete them
     extra = list(g.edges) + [(u, v, 0.005), (u, v, 0.004), (v, u, 0.006)]
     g2 = type(g)(g.n, extra)
     ids3 = [g.m, g.m + 1, g.m + 2]
-    cg = build_cluster_graph(lvl, ids3, g2, uf, 3.0, 0.3, level_scale=0.005, w_bar=sub.w_bar)
+    cg = build_cluster_graph(lvl, ids3, g2, 3.0, 0.3, level_scale=0.005, w_bar=sub.w_bar)
     kept = [(w, src) for _, _, w, src in cg.class_edges]
     assert kept == [(0.004, g.m + 1)]
 
@@ -219,36 +215,41 @@ def test_contract_level_closes_cycles_into_a_spanning_tree():
             (2, 3, 3.0, 70),  # C-A, closes the cycle
             (3, 4, 2.0, 9),  # A-B, kept candidate
         ],
+        cluster_of=list(range(5)),
     )
-    uf = UnionFind(5, 5)
     outcome = SimpleNamespace(
         groups=[[0, 3], [1, 4], [2]], level_scale=4.0, adm=[5.0, 6.0, 7.0], collapse=[False] * 3
     )
-    nxt = contract_level(lvl, outcome, uf)
+    nxt = contract_level(lvl, outcome)
     # one candidate per node pair, min (weight, source id), then Kruskal
     assert nxt.tree_edges == [(1, 2, 1.0, 60), (0, 1, 2.0, 9)]
     assert len(nxt.tree_edges) == nxt.cluster_count - 1
     assert nxt.members == [[0, 3], [1, 4], [2]]
     assert nxt.representatives == [0, 1, 2]
     assert nxt.potentials == [5.0, 6.0, 7.0]
-    assert uf.find(0) == uf.find(3) and uf.find(1) == uf.find(4)
-    assert len({uf.find(r) for r in nxt.representatives}) == 3
+    assert nxt.cluster_of == [0, 1, 2, 0, 1]
 
 
-def test_ledger_records_levels_and_transitions():
-    led = PotentialLedger()
+def _assert_cluster_map_matches_members(lvl, n_original):
+    assert len(lvl.cluster_of) == n_original
+    member_sets = [set(ms) for ms in lvl.members]
+    for v in range(n_original):
+        for c, ms in enumerate(member_sets):
+            assert (lvl.cluster_of[v] == c) == (v in ms)
 
-    class Lvl:
-        potentials = [3.0, 2.0]
 
-    led.record_level(Lvl())
-
-    class Lvl2:
-        potentials = [4.0]
-
-    led.record_level(Lvl2())
-    led.record_transition([1.5, -0.5], [1.75, -0.25])
-    assert led.phi_totals == [5.0, 4.0]
-    assert led.deltas == [1.0]
-    assert led.local_changes == [[1.5, -0.5]]
-    assert led.corrected_changes[0] == [1.75, -0.25]
+@given(st.integers(0, 10_000), st.integers(4, 14))
+@settings(max_examples=60, deadline=None)
+def test_cluster_map_matches_members(seed, n):
+    rng = random.Random(seed)
+    _, _, sub = _subdivided(seed, n=n, m=n + n // 2, w_bar=rng.choice([0.3, 0.8]))
+    lvl = build_level1(sub, 1.6)
+    _assert_cluster_map_matches_members(lvl, sub.n_original)
+    # any partition of the clusters contracts: the quotient of a tree is connected
+    ids = list(range(lvl.cluster_count))
+    rng.shuffle(ids)
+    k = rng.randint(1, len(ids))
+    outcome = SimpleNamespace(
+        groups=[ids[j::k] for j in range(k)], level_scale=3.2, adm=[0.0] * k, collapse=[False] * k
+    )
+    _assert_cluster_map_matches_members(contract_level(lvl, outcome), sub.n_original)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import weighted_graph
 from lightspan.graphs import WeightedGraph, build_mst
-from lightspan.leveling import classify_edges, reduce_over_sigma
+from lightspan.leveling import classify_edges
 
 
 def test_mu_matches_formula():
@@ -77,22 +77,3 @@ def test_classify_rejects_bad_parameters():
         classify_edges(g, [], w_bar=1.0, eps=1.5, psi=0.5)
     with pytest.raises(ValueError):
         classify_edges(g, [], w_bar=1.0, eps=0.5, psi=0.0)
-
-
-def test_reduce_over_sigma_unions_tree_light_and_classes():
-    g = weighted_graph(10, 20, seed=1, lo=0.5, hi=800.0)
-    sch = classify_edges(g, [], w_bar=1.0, eps=0.25, psi=0.5)
-    mst_ids = list(range(9))  # any id list works for the union contract
-    calls = []
-
-    def per_class(sigma):
-        calls.append(sigma)
-        ids = {ids[0] for ids in sch.per_sigma[sigma].values()}
-        return ids
-
-    h_all, per_sets = reduce_over_sigma(g, mst_ids, sch, per_class)
-    assert calls == sch.busy_sigmas()
-    want = set(mst_ids) | set(sch.light_edges)
-    for s in calls:
-        want |= per_sets[s]
-    assert h_all == want

@@ -119,8 +119,6 @@ def test_mode_guards():
     p = PointSet(2, [(0.0, 0.0), (1.0, 1.0)])
     with pytest.raises(ValueError):
         light_spanner_geometric(p, PipelineConfig(mode="general"))
-    with pytest.raises(ValueError):
-        light_spanner_geometric(p, PipelineConfig(mode="euclidean", dim=3))
 
 
 # ---------------------------------------------------------------------------
@@ -150,9 +148,10 @@ def test_general_stretch_within_target():
 def test_mst_is_always_kept():
     for seed in range(5):
         g = weighted_graph(45, 140, seed, lo=1.0, hi=800.0)
-        res = light_spanner_general(g, PipelineConfig(mode="general", k=2, eps_user=0.25))
+        res = light_spanner_general(g, PipelineConfig(mode="general", k=2, eps_user=0.25, trace=True))
         mst = set(build_mst(res.run_graph))
         assert mst <= set(res.edge_ids)
+        assert set(res.trace["light_ids"]) <= set(res.edge_ids)
 
 
 def test_deterministic_for_fixed_seed():
@@ -238,14 +237,14 @@ GOLDEN = {
     ),
     "euclidean": (
         lambda: light_spanner_geometric(
-            uniform_points(150, 2, seed=3), PipelineConfig(mode="euclidean", dim=2, eps_user=0.25)
+            uniform_points(150, 2, seed=3), PipelineConfig(mode="euclidean", eps_user=0.25)
         ),
         "59734403d14f28f9889a70dd32ac716e1161011e00b7664375041ec404fb768c",
     ),
     "udg": (
         lambda: light_spanner_geometric(
             uniform_points(300, 2, seed=4),
-            PipelineConfig(mode="udg", dim=2, radius=0.15, eps_user=0.25),
+            PipelineConfig(mode="udg", radius=0.15, eps_user=0.25),
         ),
         "faf7577d828836727264094c6fa8e187132e436fb8f8242eef2474c4d368803b",
     ),
@@ -253,7 +252,7 @@ GOLDEN = {
     "euclidean-sampled": (
         lambda: light_spanner_geometric(
             uniform_points(600, 2, 7),
-            PipelineConfig(mode="euclidean", dim=2, eps_user=0.25, verify_cap=100, sample_size=200),
+            PipelineConfig(mode="euclidean", eps_user=0.25, verify_cap=100, sample_size=200),
         ),
         "e1c04648be33c34ef57c3b63e7f5d81b9ee14fb094501d10e4d2b43dab29b645",
     ),
@@ -261,7 +260,7 @@ GOLDEN = {
         lambda: light_spanner_geometric(
             uniform_points(600, 2, 7),
             PipelineConfig(
-                mode="udg", dim=2, radius=0.1, eps_user=0.25, verify_cap=100, sample_size=200
+                mode="udg", radius=0.1, eps_user=0.25, verify_cap=100, sample_size=200
             ),
         ),
         "7833200d20d7c14f706b55edc6f644f55da3ecca3044659fe64f3cb94b3de4b0",
@@ -269,13 +268,13 @@ GOLDEN = {
     # unit-disk grids in other dimensions
     "udg-1d": (
         lambda: light_spanner_geometric(
-            uniform_points(200, 1, 7), PipelineConfig(mode="udg", dim=1, radius=0.05, eps_user=0.25)
+            uniform_points(200, 1, 7), PipelineConfig(mode="udg", radius=0.05, eps_user=0.25)
         ),
         "a56a60b770d40a0609291bff8dc729025864a6b921a3552725870f55249e524d",
     ),
     "udg-3d": (
         lambda: light_spanner_geometric(
-            uniform_points(150, 3, 7), PipelineConfig(mode="udg", dim=3, radius=0.35, eps_user=0.25)
+            uniform_points(150, 3, 7), PipelineConfig(mode="udg", radius=0.35, eps_user=0.25)
         ),
         "47734564aa74b4d565b8ee4d77c2dd98fd94852f8c6ff2d9666ab7e1d54849e6",
     ),
@@ -288,13 +287,35 @@ def test_golden_output(mode):
     assert _digest(build()) == want
 
 
+def _python(*argv: str) -> str:
+    """stdout of a fresh interpreter that imports lightspan and these tests."""
+    paths = [str(Path(lightspan.__file__).resolve().parents[1]), str(Path(__file__).parent)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([*paths, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, *argv], env=env, capture_output=True, text=True, check=True
+    )
+    return out.stdout
+
+
+def test_golden_output_without_asserts():
+    # python -O strips assert statements; no build may depend on them
+    script = (
+        "import json\n"
+        "from test_pipeline import GOLDEN, _digest\n"
+        "print(json.dumps([__debug__, {m: _digest(b()) for m, (b, _) in GOLDEN.items()}]))\n"
+    )
+    debug, got = json.loads(_python("-O", "-c", script))
+    assert debug is False
+    assert got == {mode: want for mode, (_, want) in GOLDEN.items()}
+
+
 # ---------------------------------------------------------------------------
 # geometric modes
 
 
 def test_unit_square_corners():
     p = PointSet(2, [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
-    cfg = PipelineConfig(mode="euclidean", dim=2, eps_user=0.1)
+    cfg = PipelineConfig(mode="euclidean", eps_user=0.1)
     res = light_spanner_geometric(p, cfg)
     assert res.stats["stretch_measured"] <= cfg.stretch_target()
     assert res.stats["base_edges"] >= 3
@@ -302,7 +323,7 @@ def test_unit_square_corners():
 
 def test_euclidean_stats_and_stretch():
     p = uniform_points(120, 2, seed=3)
-    cfg = PipelineConfig(mode="euclidean", dim=2, eps_user=0.2, seed=3)
+    cfg = PipelineConfig(mode="euclidean", eps_user=0.2, seed=3)
     res = light_spanner_geometric(p, cfg)
     assert res.stats["stretch_measured"] <= cfg.stretch_target()
     assert res.stats["mode"] == "euclidean"
@@ -312,22 +333,22 @@ def test_euclidean_stats_and_stretch():
 
 def test_euclidean_deterministic():
     p = uniform_points(80, 2, seed=5)
-    cfg = PipelineConfig(mode="euclidean", dim=2, eps_user=0.2, seed=1)
+    cfg = PipelineConfig(mode="euclidean", eps_user=0.2, seed=1)
     a = light_spanner_geometric(p, cfg)
-    b = light_spanner_geometric(p, PipelineConfig(mode="euclidean", dim=2, eps_user=0.2, seed=1))
+    b = light_spanner_geometric(p, PipelineConfig(mode="euclidean", eps_user=0.2, seed=1))
     assert a.edges == b.edges
 
 
 def test_euclidean_3d_runs():
     p = uniform_points(60, 3, seed=2)
-    cfg = PipelineConfig(mode="euclidean", dim=3, eps_user=0.25, seed=2)
+    cfg = PipelineConfig(mode="euclidean", eps_user=0.25, seed=2)
     res = light_spanner_geometric(p, cfg)
     assert res.stats["stretch_measured"] <= cfg.stretch_target()
 
 
 def test_udg_respects_radius():
     p = uniform_points(200, 2, seed=7)
-    cfg = PipelineConfig(mode="udg", dim=2, radius=0.25, eps_user=0.2, seed=7)
+    cfg = PipelineConfig(mode="udg", radius=0.25, eps_user=0.2, seed=7)
     res = light_spanner_geometric(p, cfg)
     for u, v, w in res.edges:
         assert w <= 0.25 + 1e-12
@@ -337,7 +358,7 @@ def test_udg_respects_radius():
 
 def test_udg_disconnected_raises():
     p = PointSet(2, [(0.0, 0.0), (0.01, 0.0), (5.0, 5.0)])
-    cfg = PipelineConfig(mode="udg", dim=2, radius=0.5, eps_user=0.2)
+    cfg = PipelineConfig(mode="udg", radius=0.5, eps_user=0.2)
     with pytest.raises(DisconnectedGraph):
         light_spanner_geometric(p, cfg)
 
@@ -351,7 +372,7 @@ def test_yao_base_matches_brute_force(d, mode):
     rng = random.Random(d)
     coords = lambda: rng.choice([rng.uniform(-1.0, 1.0), r * rng.randint(-2, 2)])  # noqa: E731
     p = PointSet(d, sorted({tuple(coords() for _ in range(d)) for _ in range(40)}))
-    cfg = PipelineConfig(mode=mode, dim=d, radius=r)
+    cfg = PipelineConfig(mode=mode, radius=r)
     _, cone_of = cone_selector(d, _cone_angle(cfg.eps_base()))
     want = oracles.yao_graph(p.points, cone_of, r if mode == "udg" else None)
     assert _yao_base(p, cfg).edges == want
@@ -371,9 +392,4 @@ def test_2d_geometric_builds_load_neither_numpy_nor_scipy():
         "        light_spanner_geometric(uniform_points(80, 2, 1), cfg)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))\n"
     )
-    src = str(Path(lightspan.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "[]"
+    assert _python("-c", script).strip() == "[]"
