@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from conftest import weighted_graph
 from lightspan.graphs import WeightedGraph, build_mst
 from lightspan.leveling import classify_edges
+from lightspan.pipeline import PipelineConfig, light_spanner_general
 
 
 def test_mu_matches_formula():
@@ -77,3 +78,20 @@ def test_classify_rejects_bad_parameters():
         classify_edges(g, [], w_bar=1.0, eps=1.5, psi=0.5)
     with pytest.raises(ValueError):
         classify_edges(g, [], w_bar=1.0, eps=0.5, psi=0.0)
+
+
+def test_reduce_over_sigma_unions_tree_light_and_classes():
+    # the per-class reduction is one loop in the pipeline: its output is
+    # exactly the MST, the light edges and one spanner per busy class
+    g = weighted_graph(30, 90, seed=1, lo=0.5, hi=800.0)
+    cfg = PipelineConfig(mode="general", k=2, eps_user=0.25, trace=True)
+    res = light_spanner_general(g, cfg)
+    tr = res.trace
+    sch = classify_edges(res.run_graph, tr["mst_ids"], tr["w_bar"], cfg.eps(), cfg.psi_value())
+    assert sorted(tr["light_ids"]) == sorted(sch.light_edges)
+    assert list(tr["per_sigma"]) == sorted(sch.per_sigma)
+    assert sorted(tr["per_class_edges"]) == sorted(sch.per_sigma)
+    want = set(tr["mst_ids"]) | set(tr["light_ids"])
+    for ids in tr["per_class_edges"].values():
+        want |= set(ids)
+    assert set(res.edge_ids) == want
