@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections.abc import Collection
 from dataclasses import dataclass, field
 
 from .unionfind import UnionFind
@@ -312,16 +313,22 @@ def dijkstra(
     adj: list[list[tuple[int, float]]],
     source: int,
     cutoff: float | None = None,
-    target: int | None = None,
+    targets: Collection[int] | None = None,
 ) -> list[float]:
     """Exact nonnegative shortest paths from source; unreachable = inf.
 
     `adj` is a per-vertex (neighbor, weight) list.  With `cutoff`, vertices
-    beyond it stay at inf.  With `target`, stops as soon as it settles.
+    beyond it stay at inf.  With `targets`, the search stops as soon as every
+    target has been settled: each target's distance is then exact, bit for
+    bit what the full search gives, while vertices not yet settled hold a
+    tentative value or inf.  A target the search cannot reach stays at inf.
     """
     n = len(adj)
     dist = [math.inf] * n
     dist[source] = 0.0
+    pending = None if targets is None else set(targets)
+    if pending is not None and not pending:
+        return dist
     heap = [(0.0, source)]
     while heap:
         d, u = heapq.heappop(heap)
@@ -329,8 +336,10 @@ def dijkstra(
             continue
         if cutoff is not None and d > cutoff:
             break
-        if target is not None and u == target:
-            break
+        if pending is not None and u in pending:
+            pending.remove(u)
+            if not pending:
+                break
         for v, w in adj[u]:
             nd = d + w
             if nd < dist[v]:

@@ -2,7 +2,8 @@
 
 Everything here is independent of the construction path.  Stretch is
 measured with exact Dijkstra runs over the candidate subgraph (plain
-Python, or scipy in source blocks for large demand sets), the greedy
+Python, each search stopping once its source's demanded endpoints are
+settled, or scipy in source blocks for large demand sets), the greedy
 baseline re-derives a spanner from scratch, and check_hierarchy replays a
 recorded trace against the potential bookkeeping rules.
 """
@@ -25,9 +26,11 @@ def measure_stretch(
 ) -> tuple[float, int]:
     """Max over demanded edges of d_H(u,v)/w(u,v), with its witness edge id.
 
-    Demands default to every edge of g.  Distances are exact Dijkstra runs
-    over the subgraph spanned by h_edge_ids, one per distinct source, and
-    the witness is the lowest edge id attaining the maximum.
+    Demands default to every edge of g and are grouped under their lower
+    endpoint.  Distances are exact Dijkstra runs over the subgraph spanned
+    by h_edge_ids, one per distinct lower endpoint, each stopping once that
+    source's demanded upper endpoints are settled; the witness is the lowest
+    edge id attaining the maximum.
     """
     demands = list(range(g.m)) if edge_ids is None else sorted(edge_ids)
     adj: list[list[tuple[int, float]]] = [[] for _ in range(g.n)]
@@ -41,8 +44,9 @@ def measure_stretch(
         by_src.setdefault(min(u, v), []).append(eid)
     best, witness = -math.inf, -1
     for src in sorted(by_src):
-        dist = dijkstra(adj, src)
-        for eid in by_src[src]:
+        eids = by_src[src]
+        dist = dijkstra(adj, src, targets={max(g.edges[eid][:2]) for eid in eids})
+        for eid in eids:
             u, v, w = g.edges[eid]
             d = dist[max(u, v)]
             if math.isinf(d):
@@ -116,7 +120,7 @@ def greedy_spanner(g: WeightedGraph, t: float) -> list[int]:
     for eid in sorted(range(g.m), key=lambda i: (g.edges[i][2], i)):
         u, v, w = g.edges[eid]
         limit = t * w
-        dist = dijkstra(adj, u, cutoff=limit * (1.0 + 1e-12), target=v)
+        dist = dijkstra(adj, u, cutoff=limit * (1.0 + 1e-12), targets={v})
         if dist[v] > limit:
             kept.append(eid)
             adj[u].append((v, w))

@@ -8,6 +8,7 @@ small enough for the brute force to finish.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 
@@ -139,6 +140,47 @@ def max_stretch(
         if ratio > worst:
             worst = ratio
     return worst
+
+
+def full_search_stretch(
+    n: int,
+    edges: list[tuple[int, int, float]],
+    kept_ids: list[int],
+    demand_ids: list[int] | None = None,
+) -> tuple[float, int]:
+    """(stretch, witness) by one complete textbook Dijkstra per demanded
+    edge's lower endpoint: the worst d_H(u,v)/w(u,v), floored at 1, and the
+    lowest edge id attaining it; (1.0, -1) without demands.  An unreachable
+    endpoint gives an infinite ratio."""
+    adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    for i in kept_ids:
+        u, v, w = edges[i]
+        adj[u].append((v, w))
+        adj[v].append((u, w))
+    searched: dict[int, list[float]] = {}
+    best, witness = -INF, -1
+    for eid in sorted(range(len(edges)) if demand_ids is None else demand_ids):
+        u, v, w = edges[eid]
+        src = min(u, v)
+        if src not in searched:
+            dist = [INF] * n
+            dist[src] = 0.0
+            heap = [(0.0, src)]
+            while heap:
+                d, x = heapq.heappop(heap)
+                if d > dist[x]:
+                    continue
+                for y, wy in adj[x]:
+                    if d + wy < dist[y]:
+                        dist[y] = d + wy
+                        heapq.heappush(heap, (d + wy, y))
+            searched[src] = dist
+        ratio = searched[src][max(u, v)] / w
+        if ratio > best:
+            best, witness = ratio, eid
+    if witness < 0:
+        return 1.0, -1
+    return max(best, 1.0), witness
 
 
 def yao_graph(

@@ -203,3 +203,34 @@ def test_dijkstra_cutoff_leaves_far_vertices_at_inf():
     dist = dijkstra(g.weighted_adjacency(), 0, cutoff=2.0)
     assert dist[1] == 1.0
     assert math.isinf(dist[2])
+
+
+def test_dijkstra_targets_match_full_search_exactly():
+    for seed in range(12):
+        rng = random.Random(seed)
+        g = weighted_graph(30, 70, seed)
+        if seed % 2:
+            # weights like 0.1 and 0.2 make equal-length paths whose float
+            # sums differ in the last bit, so ties must resolve the same way
+            g = WeightedGraph(g.n, [(u, v, rng.choice((0.1, 0.2, 0.3))) for u, v, _ in g.edges])
+        adj = g.weighted_adjacency()
+        for src in range(g.n):
+            full = dijkstra(adj, src)
+            targets = set(rng.sample(range(g.n), rng.randrange(1, 5)))
+            got = dijkstra(adj, src, targets=targets)
+            for t in targets:
+                assert got[t] == full[t]
+
+
+def test_dijkstra_stops_once_targets_settle():
+    path = WeightedGraph(5, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0)])
+    dist = dijkstra(path.weighted_adjacency(), 0, targets={1, 2})
+    assert dist[:3] == [0.0, 1.0, 2.0]
+    assert math.isinf(dist[3]) and math.isinf(dist[4])
+
+
+def test_dijkstra_unreachable_target_stays_inf():
+    g = WeightedGraph(4, [(0, 1, 1.0), (2, 3, 1.0)])
+    dist = dijkstra(g.weighted_adjacency(), 0, targets={1, 3})
+    assert dist[1] == 1.0
+    assert math.isinf(dist[3])

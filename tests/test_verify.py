@@ -62,6 +62,12 @@ def test_not_spanning_raises():
     g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
     with pytest.raises(NotSpanning):
         measure_stretch(g, [0])
+    # a cut-off demanded endpoint still raises when the searches stop early
+    g = WeightedGraph(6, [(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0), (4, 5, 1.0), (2, 3, 5.0)])
+    kept = [0, 1, 2, 3]  # edge 4 joins the two halves and is left out
+    assert measure_stretch(g, kept, edge_ids=[0, 1, 3]) == (1.0, 0)
+    with pytest.raises(NotSpanning):
+        measure_stretch(g, kept, edge_ids=[0, 1, 4])
 
 
 def test_demand_restriction():
@@ -102,6 +108,20 @@ def test_batched_stretch_equals_oracle_route():
         a = measure_stretch(g, kept, edge_ids=demands)
         b = batched_stretch(g, kept, demands)
         assert a == b
+
+
+def test_measure_stretch_equals_full_search_oracle():
+    # the early-exit searches must give the very floats a full search gives
+    for seed in range(20):
+        rng = random.Random(seed)
+        n = rng.randrange(5, 60)
+        g = weighted_graph(n, rng.randrange(n, min(3 * n, n * (n - 1) // 2)), seed)
+        if seed % 2:
+            g = WeightedGraph(n, [(u, v, rng.choice((0.1, 0.2, 0.3))) for u, v, _ in g.edges])
+        kept = sorted(set(build_mst(g)) | set(rng.sample(range(g.m), rng.randrange(0, g.m))))
+        demands = None if seed % 4 == 0 else sorted(rng.sample(range(g.m), rng.randrange(1, g.m + 1)))
+        got = measure_stretch(g, kept, edge_ids=demands)
+        assert got == oracles.full_search_stretch(g.n, g.edges, kept, demands)
 
 
 # ---------------------------------------------------------------------------
