@@ -56,17 +56,17 @@ class SsaInput:
 @dataclass
 class SsaOutput:
     pruned: list[int]  # indices into the input edge list
-    sparsity: float  # chi
+    sparsity: float  # chi; the cone count, an exact int that can exceed any float
     stretch_constant: float  # s(beta)
 
     def assert_sparse(self, n_nodes: int) -> None:
-        assert len(self.pruned) <= self.sparsity * max(1, n_nodes) + 1e-9, (
+        assert len(self.pruned) - 1e-9 <= self.sparsity * max(1, n_nodes), (
             f"kept {len(self.pruned)} edges, allowed {self.sparsity} * {n_nodes}"
         )
 
 
 # ---------------------------------------------------------------------------
-# direction nets for the cone backend
+# cones for the geometric backends
 
 
 def _cone_count_2d(eps: float) -> int:
@@ -81,82 +81,39 @@ def _cone_index_2d(dx: float, dy: float, eps: float, tau: int) -> int:
     return min(j, tau - 1)
 
 
-def _face_grid(signs: tuple[int, ...], steps: int, out: list[tuple[float, ...]], seen: set) -> None:
-    """Barycentric grid on one cross-polytope face, projected to the sphere."""
-    d = len(signs)
-
-    def rec(axis: int, left: int, coeffs: list[int]) -> None:
-        if axis == d - 1:
-            coeffs.append(left)
-            v = [signs[j] * coeffs[j] / steps for j in range(d)]
-            norm = math.sqrt(sum(c * c for c in v))
-            p = tuple(c / norm for c in v)
-            key = tuple(round(c, 12) for c in p)
-            if key not in seen:
-                seen.add(key)
-                out.append(p)
-            coeffs.pop()
-            return
-        for take in range(left + 1):
-            coeffs.append(take)
-            rec(axis + 1, left - take, coeffs)
-            coeffs.pop()
-
-    rec(0, steps, [])
-
-
-def direction_net(d: int, eps: float) -> list[tuple[float, ...]]:
-    """Unit directions such that every vector lies within angle eps of one.
-
-    Each cross-polytope face carries a barycentric grid of step 1/steps,
-    radially projected to the sphere.  A flat grid cell has chord diameter
-    sqrt(2)/steps, the projection from the face plane (distance >= 1/sqrt(d)
-    from the origin) stretches chords by at most sqrt(d), and chord bounds
-    angle from above, so steps = ceil(2 sqrt(2d) / eps) is enough with a
-    factor-2 margin; the property tests sample this.
-    """
-    if d < 3:
-        raise DimensionMismatch("direction nets are for d >= 3")
-    steps = max(1, math.ceil(2.0 * math.sqrt(2.0 * d) / eps))
-    # refuse before allocating: each face's grid has one point per
-    # composition of steps into d parts
-    size = 2**d * math.comb(steps + d - 1, d - 1)
-    if size > 2**20:
-        raise ValueError(f"a direction net for eps={eps} at d={d} needs {size} > 2^20 grid points")
-    out: list[tuple[float, ...]] = []
-    seen: set = set()
-    for mask in range(1 << d):
-        signs = tuple(1 if mask >> axis & 1 else -1 for axis in range(d))
-        _face_grid(signs, steps, out, seen)
-    return out
-
-
-def _cone_index_net(vec: tuple[float, ...], net: list[tuple[float, ...]]) -> int:
-    best, best_dot = 0, -2.0
-    norm = math.sqrt(sum(c * c for c in vec))
-    for j, nv in enumerate(net):
-        dot = sum(a * b for a, b in zip(vec, nv)) / norm
-        if dot > best_dot + 1e-15:
-            best, best_dot = j, dot
-    return best
-
-
 def cone_selector(d: int, theta: float):
-    """(cone count, vec -> cone id) with same-cone angular spread <= theta."""
+    """(cone count, vec -> cone id) with same-cone angular spread <= theta.
+
+    At d >= 3 the id is the sign pattern of vec plus, for j < d - 1, the
+    cell min(floor(steps |x_j| / |x|_1), steps - 1): the cell of vec's
+    radial projection x / |x|_1 in a barycentric grid on a face of the
+    cross-polytope, mixed-radix encoded, so there are 2^d steps^(d-1)
+    cones.  Two vectors in one cell project to face points that differ by
+    less than 1/steps in each of the first d - 1 coordinates and so by less
+    than (d - 1)/steps in the last, hence lie within sqrt(d(d - 1))/steps
+    of each other.  Face points have Euclidean norm >= 1/sqrt(d), so by
+    Dunkl-Williams their unit vectors lie within chord d sqrt(d - 1)/steps,
+    and the angle is at most pi/2 times the chord.  Hence
+    steps = ceil(pi d sqrt(d - 1) / (2 theta)) keeps every cone within
+    theta.
+    """
     if d == 1:
         return 2, lambda vec: 0 if vec[0] >= 0 else 1
     if d == 2:
         tau = _cone_count_2d(theta)
         return tau, lambda vec: _cone_index_2d(vec[0], vec[1], theta, tau)
-    # net resolution theta/2: two vectors sharing a nearest direction are
-    # within theta of each other
-    net = direction_net(d, theta / 2.0)
-    if len(net) > 64:
-        import numpy as np
+    steps = math.ceil(math.pi * d * math.sqrt(d - 1) / (2.0 * theta))
 
-        mat = np.asarray(net)
-        return len(net), lambda vec: int(np.argmax(mat @ vec))
-    return len(net), lambda vec: _cone_index_net(vec, net)
+    def cone_of(vec) -> int:
+        norm1 = sum(map(abs, vec))
+        cone = 0
+        for x in vec:
+            cone = 2 * cone + (x < 0)
+        for x in vec[:-1]:
+            cone = cone * steps + min(int(steps * abs(x) / norm1), steps - 1)
+        return cone
+
+    return 2**d * steps ** (d - 1), cone_of
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +164,7 @@ def ssa_geom(inp: SsaInput, d: int, positions) -> SsaOutput:
 
     out = SsaOutput(
         pruned=sorted(keep),
-        sparsity=float(tau),
+        sparsity=tau,
         stretch_constant=2.0 * (19.0 * inp.beta + 14.0),
     )
     out.assert_sparse(len(inp.nodes))

@@ -161,11 +161,16 @@ def test_build_flags_are_per_mode(tmp_path):
         assert exc.value.code == 2
 
 
-def test_high_dimension_cone_net_is_a_usage_error(tmp_path, capsys):
+def test_high_dimension_euclidean_build(tmp_path):
     p = tmp_path / "p.points"
+    stats = tmp_path / "s.json"
     p.write_text("5 4\n" + "".join(f"{i} {i * i} {-i} {i % 2}\n" for i in range(5)))
-    assert run("build", "euclidean", str(p), "--out", str(tmp_path / "h.graph")) == 2
-    assert "grid points" in capsys.readouterr().err
+    code = run(
+        "build", "euclidean", str(p), "--out", str(tmp_path / "h.graph"), "--stats", str(stats)
+    )
+    assert code == 0
+    blob = json.loads(stats.read_text())
+    assert blob["stretch_measured"] <= blob["stretch_target"]
 
 
 def test_missing_input_is_io_error(tmp_path):

@@ -364,7 +364,7 @@ def test_udg_disconnected_raises():
 
 
 @pytest.mark.parametrize("mode", ["euclidean", "udg"])
-@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_yao_base_matches_brute_force(d, mode):
     # r = 0.5 is exact in binary: coordinates on multiples of r sit on grid
     # cell boundaries, and some pairs lie at exactly distance r
@@ -378,7 +378,7 @@ def test_yao_base_matches_brute_force(d, mode):
     assert _yao_base(p, cfg).edges == want
 
 
-def test_2d_geometric_builds_load_neither_numpy_nor_scipy():
+def test_geometric_builds_load_neither_numpy_nor_scipy():
     # numpy and scipy would add tens of MB to the peak memory of every
     # geometric build; small ones stay in pure Python, sampled
     # certification (n above verify_cap) included
@@ -386,10 +386,11 @@ def test_2d_geometric_builds_load_neither_numpy_nor_scipy():
         "import sys\n"
         "from lightspan.generate import uniform_points\n"
         "from lightspan.pipeline import PipelineConfig, light_spanner_geometric\n"
-        "for mode in ('euclidean', 'udg'):\n"
-        "    for cap in (500, 50):\n"
-        "        cfg = PipelineConfig(mode=mode, radius=0.3, verify_cap=cap, sample_size=100)\n"
-        "        light_spanner_geometric(uniform_points(80, 2, 1), cfg)\n"
+        "for d, r in ((2, 0.3), (3, 0.4)):\n"
+        "    for mode in ('euclidean', 'udg'):\n"
+        "        for cap in (500, 50):\n"
+        "            cfg = PipelineConfig(mode=mode, radius=r, verify_cap=cap, sample_size=100)\n"
+        "            light_spanner_geometric(uniform_points(80, d, 1), cfg)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))\n"
     )
     assert _python("-c", script).strip() == "[]"

@@ -13,7 +13,6 @@ from lightspan.ssa import (
     _cone_index_2d,
     _sampling_spanner,
     cone_selector,
-    direction_net,
     ssa_general,
     ssa_geom,
     ssa_minor,
@@ -96,7 +95,7 @@ def test_unweighted_spanner_rejects_small_k():
 
 
 # ---------------------------------------------------------------------------
-# direction nets and cones
+# cones
 
 
 def test_cone_count_2d():
@@ -116,34 +115,20 @@ def test_cone_index_2d_walks_the_circle():
     assert _cone_index_2d(math.cos(-0.001), math.sin(-0.001), eps, tau) == tau - 1
 
 
-def test_direction_net_resolution():
-    for d, eps in ((3, 0.4), (4, 0.6)):
-        net = direction_net(d, eps)
-        rng = random.Random(7)
-        for _ in range(150):
-            vec = [rng.gauss(0, 1) for _ in range(d)]
-            norm = math.sqrt(sum(c * c for c in vec))
-            unit = [c / norm for c in vec]
-            best = max(sum(a * b for a, b in zip(unit, nv)) for nv in net)
-            assert math.acos(min(1.0, best)) <= eps + 1e-9
+def test_cone_selector_takes_strict_eps_and_high_dimension():
+    # the strict internal eps at d = 3 and the Yao angle at d = 100 only set
+    # a count; a cone depends on the direction alone
+    for d, theta in ((3, 1 / 256), (3, 0.0625), (100, 0.0625)):
+        count, cone_of = cone_selector(d, theta)
+        rng = random.Random(d)
+        vec = tuple(rng.gauss(0, 1) for _ in range(d))
+        assert 0 <= cone_of(vec) < count
+        assert cone_of(tuple(7 * c for c in vec)) == cone_of(vec)
 
 
-def test_direction_net_rejects_low_dimension():
-    from lightspan.ssa import DimensionMismatch
-
-    with pytest.raises(DimensionMismatch):
-        direction_net(2, 0.3)
-
-
-def test_direction_net_refuses_oversized_grids():
-    # the Yao base's cone angle at the default eps_base: 100,488 grid points
-    # at d = 3, 16.6 million at d = 4, refused before anything is allocated
-    assert cone_selector(3, 0.0625)[0] > 64
-    with pytest.raises(ValueError, match="grid points"):
-        cone_selector(4, 0.0625)
-
-
-@pytest.mark.parametrize("d, samples", [(1, 200), (2, 600), (3, 4000)])
+@pytest.mark.parametrize(
+    "d, samples", [(1, 200), (2, 600), (3, 4000), (4, 20000), (6, 50000)]
+)
 def test_same_cone_vectors_lie_within_theta(d, samples):
     theta = 0.6
     count, cone_of = cone_selector(d, theta)
@@ -199,6 +184,16 @@ def test_ssa_geom_cones_separate_directions():
     inp = _level_input([0, 1, 2, 3], edges, scale=10.0, eps=0.5)
     out = ssa_geom(inp, 2, pos)
     assert out.pruned == [0, 1, 2]  # all in different cones
+
+
+def test_ssa_geom_at_high_dimension_keeps_every_cone():
+    # 2^100 * steps^99 cones: the sparsity bound stays an exact int
+    d = 100
+    pos = {0: (0.0,) * d, 1: (1.0,) + (0.0,) * (d - 1), 2: (0.0, 1.0) + (0.0,) * (d - 2)}
+    edges = [(0, 1, 1.0, 0), (0, 2, 1.0, 1)]
+    out = ssa_geom(_level_input([0, 1, 2], edges, scale=1.0, eps=0.5), d, pos)
+    assert out.pruned == [0, 1]
+    assert out.sparsity == cone_selector(d, 0.5)[0]
 
 
 def test_ssa_geom_strict_needs_small_eps():
