@@ -278,6 +278,14 @@ GOLDEN = {
         ),
         "47734564aa74b4d565b8ee4d77c2dd98fd94852f8c6ff2d9666ab7e1d54849e6",
     ),
+    # the d >= 3 cone rule: udg-3d keeps every in-range pair under any rule,
+    # so only a complete-metric Yao base pins it
+    "euclidean-3d": (
+        lambda: light_spanner_geometric(
+            uniform_points(100, 3, 2), PipelineConfig(mode="euclidean", eps_user=0.25)
+        ),
+        "b7fbc9aeec169542fb3dde43eb890b9cd04a0ad7b214296c081232e7a34c61df",
+    ),
 }
 
 
