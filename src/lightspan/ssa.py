@@ -56,7 +56,7 @@ class SsaInput:
 @dataclass
 class SsaOutput:
     pruned: list[int]  # indices into the input edge list
-    sparsity: float  # chi; the cone count, an exact int that can exceed any float
+    sparsity: float  # chi; ssa_geom's cone count is an exact int that can exceed any float
     stretch_constant: float  # s(beta)
 
     def assert_sparse(self, n_nodes: int) -> None:
@@ -89,8 +89,8 @@ def cone_selector(d: int, theta: float):
     radial projection x / |x|_1 in a barycentric grid on a face of the
     cross-polytope, mixed-radix encoded, so there are 2^d steps^(d-1)
     cones.  Two vectors in one cell project to face points that differ by
-    less than 1/steps in each of the first d - 1 coordinates and so by less
-    than (d - 1)/steps in the last, hence lie within sqrt(d(d - 1))/steps
+    at most 1/steps in each of the first d - 1 coordinates and so by at
+    most (d - 1)/steps in the last, hence lie within sqrt(d(d - 1))/steps
     of each other.  Face points have Euclidean norm >= 1/sqrt(d), so by
     Dunkl-Williams their unit vectors lie within chord d sqrt(d - 1)/steps,
     and the angle is at most pi/2 times the chord.  Hence
