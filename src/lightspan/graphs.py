@@ -5,7 +5,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections.abc import Collection
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .unionfind import UnionFind
 
@@ -238,45 +238,39 @@ def build_mst(g: WeightedGraph) -> list[int]:
 
 @dataclass
 class SubdividedMst:
-    """MST with every edge heavier than w_bar split into equal pieces.
+    """MST with every edge heavier than w_bar split into equal pieces, rooted at 0.
 
     Virtual vertices get ids n_original, n_original+1, ... in edge order.
-    segments[j] lists the virtual chain of MST edge j from u to v; an unsplit
-    edge has an empty chain.  tree_edges holds the full subdivided tree with
-    stable edge ids 0..extended_vertex_count-2.
+    tree_edges holds the subdivided tree, edge ids 0..extended_vertex_count-2;
+    adj lists (neighbor, weight, tree edge id) per vertex in edge-id order.
+    order is the DFS discovery order from vertex 0, parent[v] the vertex that
+    discovered v (parent[0] == 0).  Every weight class is clustered over this
+    one tree, so it is built once per run and only read afterwards.
     """
 
     n_original: int
-    original_mst_edges: list[tuple[int, int, float]]
-    segments: list[list[int]]
-    piece_weights: list[float]
     w_bar: float
-    extended_vertex_count: int
-    tree_edges: list[tuple[int, int, float]] = field(default_factory=list)
+    tree_edges: list[tuple[int, int, float]]
+    adj: list[list[tuple[int, float, int]]]
+    parent: list[int]
+    order: list[int]
 
     @property
-    def virtual_count(self) -> int:
-        return self.extended_vertex_count - self.n_original
-
-    def tree_adjacency(self) -> list[list[tuple[int, float, int]]]:
-        """Per extended vertex: (neighbor, weight, tree edge id) lists."""
-        adj: list[list[tuple[int, float, int]]] = [[] for _ in range(self.extended_vertex_count)]
-        for eid, (a, b, w) in enumerate(self.tree_edges):
-            adj[a].append((b, w, eid))
-            adj[b].append((a, w, eid))
-        return adj
+    def extended_vertex_count(self) -> int:
+        return len(self.adj)
 
 
 def subdivide_mst(g: WeightedGraph, mst_edge_ids: list[int], w_bar: float) -> SubdividedMst:
-    """Split each MST edge of weight > w_bar into ceil(w/w_bar) equal pieces."""
+    """Split each MST edge of weight > w_bar into ceil(w/w_bar) equal pieces.
+
+    Raises ValueError when the subdivided tree does not span its vertices.
+    """
     if not (w_bar > 0):
         raise ValueError(f"w_bar must be positive, got {w_bar}")
-    originals = [g.edges[i] for i in mst_edge_ids]
-    segments: list[list[int]] = []
-    piece_weights: list[float] = []
     tree_edges: list[tuple[int, int, float]] = []
     next_id = g.n
-    for u, v, w in originals:
+    for i in mst_edge_ids:
+        u, v, w = g.edges[i]
         if w <= w_bar:
             pieces = 1
         else:
@@ -285,24 +279,31 @@ def subdivide_mst(g: WeightedGraph, mst_edge_ids: list[int], w_bar: float) -> Su
             if w / pieces > w_bar:
                 pieces += 1
         sub_w = w / pieces
-        chain = list(range(next_id, next_id + pieces - 1))
-        next_id += pieces - 1
-        segments.append(chain)
-        piece_weights.append(sub_w)
         prev = u
-        for x in chain:
+        for x in range(next_id, next_id + pieces - 1):
             tree_edges.append((prev, x, sub_w))
             prev = x
+        next_id += pieces - 1
         tree_edges.append((prev, v, sub_w))
-    return SubdividedMst(
-        n_original=g.n,
-        original_mst_edges=originals,
-        segments=segments,
-        piece_weights=piece_weights,
-        w_bar=w_bar,
-        extended_vertex_count=next_id,
-        tree_edges=tree_edges,
-    )
+
+    adj: list[list[tuple[int, float, int]]] = [[] for _ in range(next_id)]
+    for eid, (a, b, w) in enumerate(tree_edges):
+        adj[a].append((b, w, eid))
+        adj[b].append((a, w, eid))
+    parent = [-1] * next_id
+    parent[0] = 0
+    order = [0]
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        for u, _, _ in adj[v]:
+            if parent[u] == -1:
+                parent[u] = v
+                order.append(u)
+                stack.append(u)
+    if len(order) != next_id:
+        raise ValueError("subdivided MST is not connected")
+    return SubdividedMst(g.n, w_bar, tree_edges, adj, parent, order)
 
 
 # ---------------------------------------------------------------------------

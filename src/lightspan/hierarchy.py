@@ -33,7 +33,7 @@ class NodeWeightedSubgraph:
     edges: list[tuple[int, int, float]]
 
 
-def _tree_adm(node_weights: dict[int, float], adj: dict[int, list[tuple[int, float]]]) -> float:
+def _tree_adm(node_weights: dict[int, float], edges: list[tuple[int, int, float]]) -> float:
     """Exact augmented diameter of a node/edge-weighted tree.
 
     Single post-order pass keeping the two best downward descent values per
@@ -43,6 +43,10 @@ def _tree_adm(node_weights: dict[int, float], adj: dict[int, list[tuple[int, flo
     nodes = list(node_weights)
     if not nodes:
         return 0.0
+    adj: dict[int, list[tuple[int, float]]] = {v: [] for v in nodes}
+    for a, b, w in edges:
+        adj[a].append((b, w))
+        adj[b].append((a, w))
     root = nodes[0]
     order: list[int] = []
     parent: dict[int, int] = {root: root}
@@ -90,26 +94,10 @@ def augmented_diameter(x: NodeWeightedSubgraph) -> float:
     m = len(x.edges)
     if m > n:
         raise UnsupportedShape(f"subgraph has {m} edges on {n} nodes")
-    adj: dict[int, list[tuple[int, float]]] = {v: [] for v in x.node_weights}
-    for a, b, w in x.edges:
-        adj[a].append((b, w))
-        adj[b].append((a, w))
     if m == n - 1:
-        return _tree_adm(x.node_weights, adj)
+        return _tree_adm(x.node_weights, x.edges)
     cycle = _find_cycle(x.node_weights, x.edges)
-    best = None
-    for skip in cycle:
-        a, b, w = x.edges[skip]
-        adj2: dict[int, list[tuple[int, float]]] = {v: [] for v in x.node_weights}
-        for i, (p, q, wt) in enumerate(x.edges):
-            if i != skip:
-                adj2[p].append((q, wt))
-                adj2[q].append((p, wt))
-        val = _tree_adm(x.node_weights, adj2)
-        if best is None or val > best:
-            best = val
-    assert best is not None
-    return best
+    return max(_tree_adm(x.node_weights, x.edges[:i] + x.edges[i + 1 :]) for i in cycle)
 
 
 def _find_cycle(node_weights: dict[int, float], edges: list[tuple[int, int, float]]) -> list[int]:
@@ -196,8 +184,8 @@ def _representatives(clusters: list[list[int]], n_original: int) -> list[int]:
     return reps
 
 
-def _induced_tree_diameter(members: list[int], adj, member_set: set[int]) -> float:
-    """Edge-weight diameter of the induced (connected) subtree."""
+def _induced_tree_diameter(members: list[int], adj, cluster_of: list[int], cid: int) -> float:
+    """Edge-weight diameter of cluster cid's induced (connected) subtree."""
     if len(members) == 1:
         return 0.0
 
@@ -209,7 +197,7 @@ def _induced_tree_diameter(members: list[int], adj, member_set: set[int]) -> flo
             v = stack.pop()
             dv = dist[v]
             for u, w, _ in adj[v]:
-                if u in member_set and u not in dist:
+                if cluster_of[u] == cid and u not in dist:
                     dist[u] = dv + w
                     if dist[u] > best_d:
                         best_v, best_d = u, dist[u]
@@ -228,26 +216,13 @@ def build_level1(sub: SubdividedMst, level0_scale: float) -> ClusterLevel:
     as its downward radius reaches level0_scale, so every carved cluster has
     radius in [level0_scale, level0_scale + w_bar).  The piece left around
     the root (radius below level0_scale) joins an adjacent carved cluster; if
-    nothing was carved the whole tree is a single cluster.
+    nothing was carved the whole tree is a single cluster.  The rooted tree
+    is shared by every weight class and only read here.
     """
     if level0_scale < sub.w_bar:
         raise ValueError(f"level-0 scale {level0_scale} below w_bar {sub.w_bar}")
     n = sub.extended_vertex_count
-    adj = sub.tree_adjacency()
-    root = 0
-    parent = [-1] * n
-    parent[root] = root
-    order = [root]
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        for u, _, _ in adj[v]:
-            if parent[u] == -1:
-                parent[u] = v
-                order.append(u)
-                stack.append(u)
-    if len(order) != n:
-        raise ValueError("subdivided MST is not connected")
+    adj, parent, order = sub.adj, sub.parent, sub.order
 
     cluster_of = [-1] * n
     pending_height = [0.0] * n
@@ -293,9 +268,8 @@ def build_level1(sub: SubdividedMst, level0_scale: float) -> ClusterLevel:
                 cluster_of[v] = target
                 clusters[target].append(v)
 
-    member_sets = [set(ms) for ms in clusters]
     potentials = [
-        _induced_tree_diameter(ms, adj, mset) for ms, mset in zip(clusters, member_sets)
+        _induced_tree_diameter(ms, adj, cluster_of, cid) for cid, ms in enumerate(clusters)
     ]
     reps = _representatives(clusters, sub.n_original)
 

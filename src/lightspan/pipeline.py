@@ -11,6 +11,7 @@ the metric the result is certified against.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -28,11 +29,20 @@ from .graphs import (
 )
 from .hierarchy import POTENTIAL_RATIO, build_cluster_graph, build_level1, contract_level
 from .leveling import classify_edges
-from .ssa import DEFAULT_BETA, SsaInput, cone_selector, ssa_general, ssa_geom, ssa_minor
+from .ssa import (
+    DEFAULT_BETA,
+    SsaInput,
+    cone_selector,
+    s_general,
+    s_geom,
+    ssa_general,
+    ssa_geom,
+    ssa_minor,
+)
 from .verify import batched_stretch
 
-S_GENERAL = 2.0 * DEFAULT_BETA + 1.0
-S_GEOM = 2.0 * (19.0 * DEFAULT_BETA + 14.0)
+S_GENERAL = s_general(DEFAULT_BETA)
+S_GEOM = s_geom(DEFAULT_BETA)
 S_MINOR = 0.0
 STRICT_EPS_CAP = 1.0 / 256.0
 
@@ -427,20 +437,34 @@ def _neighbours(p: PointSet, cfg: PipelineConfig):
 
     Unit-disk candidates come from grid buckets of cell side = radius, so
     every in-range pair lies in adjacent cells; they are listed cell by cell
-    in itertools.product order, ascending within a cell.
+    in itertools.product order, ascending within a cell.  Each occupied
+    cell's neighbour cells are found once, so high dimensions cost no 3^d
+    walk per point.
     """
     if cfg.mode != "udg":
         return lambda u: [(v, p.distance(u, v)) for v in range(p.n) if v != u]
     r = cfg.radius
+    cell = [tuple(math.floor(c / r) for c in pt) for pt in p.points]
     buckets: dict[tuple[int, ...], list[int]] = {}
-    for i, pt in enumerate(p.points):
-        buckets.setdefault(tuple(math.floor(c / r) for c in pt), []).append(i)
-    offsets = list(itertools.product((-1, 0, 1), repeat=p.d))
+    for i, key in enumerate(cell):
+        buckets.setdefault(key, []).append(i)
+
+    @functools.cache
+    def cells_around(key: tuple[int, ...]) -> list[list[int]]:
+        # offset tuples sort lexicographically in itertools.product order, so
+        # when fewer cells are occupied than there are offsets, the sorted
+        # offsets of the occupied neighbour cells are the same walk, shorter
+        if 3**p.d <= len(buckets):
+            offsets = itertools.product((-1, 0, 1), repeat=p.d)
+        else:
+            diffs = (tuple(a - k for a, k in zip(c, key)) for c in buckets)
+            offsets = sorted(off for off in diffs if all(-1 <= s <= 1 for s in off))
+        cells = (tuple(k + s for k, s in zip(key, off)) for off in offsets)
+        return [buckets[c] for c in cells if c in buckets]
 
     def near(u: int):
-        key = tuple(math.floor(c / r) for c in p.points[u])
-        for off in offsets:
-            for v in buckets.get(tuple(k + s for k, s in zip(key, off)), ()):
+        for members in cells_around(cell[u]):
+            for v in members:
                 if v != u and (dist := p.distance(u, v)) <= r:
                     yield v, dist
 

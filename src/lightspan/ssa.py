@@ -19,6 +19,16 @@ from .hierarchy import POTENTIAL_RATIO
 
 DEFAULT_BETA = 2 * POTENTIAL_RATIO
 
+
+# the stretch constants s(beta) that ssa_general and ssa_geom declare
+def s_general(beta: float) -> float:
+    return 2.0 * beta + 1.0
+
+
+def s_geom(beta: float) -> float:
+    return 2.0 * (19.0 * beta + 14.0)
+
+
 # deterministic greedy below this many nodes, sampling above
 GREEDY_NODE_CAP = 500
 
@@ -165,7 +175,7 @@ def ssa_geom(inp: SsaInput, d: int, positions) -> SsaOutput:
     out = SsaOutput(
         pruned=sorted(keep),
         sparsity=tau,
-        stretch_constant=2.0 * (19.0 * inp.beta + 14.0),
+        stretch_constant=s_geom(inp.beta),
     )
     out.assert_sparse(len(inp.nodes))
     return out
@@ -182,7 +192,7 @@ def ssa_general(inp: SsaInput, k: int) -> SsaOutput:
     out = SsaOutput(
         pruned=sorted(kept),
         sparsity=n ** (1.0 / k) * (1.0 if len(inp.nodes) <= GREEDY_NODE_CAP else 4.0 * k) + 2.0,
-        stretch_constant=2.0 * inp.beta + 1.0,
+        stretch_constant=s_general(inp.beta),
     )
     out.assert_sparse(len(inp.nodes))
     return out

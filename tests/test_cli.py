@@ -171,6 +171,17 @@ def test_high_dimension_euclidean_build(tmp_path):
     assert code == 0
     blob = json.loads(stats.read_text())
     assert blob["stretch_measured"] <= blob["stretch_target"]
+    # a 100-D unit-disk grid cell has 3^100 neighbour offsets; only the
+    # occupied cells may be looked at
+    q = tmp_path / "q.points"
+    assert run("gen", "points", "--n", "6", "--d", "100", "--seed", "0", "--out", str(q)) == 0
+    code = run(
+        "build", "udg", str(q), "--radius", "5",
+        "--out", str(tmp_path / "h.graph"), "--stats", str(stats),
+    )
+    assert code == 0
+    blob = json.loads(stats.read_text())
+    assert blob["stretch_measured"] <= blob["stretch_target"]
 
 
 def test_missing_input_is_io_error(tmp_path):

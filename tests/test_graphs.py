@@ -153,18 +153,64 @@ def test_mst_raises_on_disconnected():
 # subdivision
 
 
+def _mst_chains(g, ids, sub):
+    """Per MST edge (in id order), the weights of its chain of tree pieces."""
+    chains = []
+    pos = 0
+    for i in ids:
+        prev, v, _ = g.edges[i]
+        chain = []
+        while True:
+            a, b, w = sub.tree_edges[pos]
+            assert a == prev
+            pos += 1
+            chain.append(w)
+            if b == v:
+                break
+            assert b >= g.n  # interior chain vertices are virtual
+            prev = b
+        chains.append(chain)
+    assert pos == len(sub.tree_edges)
+    return chains
+
+
 def test_subdivision_pieces_respect_bound():
     g = weighted_graph(8, 14, seed=3)
     ids = build_mst(g)
     w_bar = 0.9
     sub = subdivide_mst(g, ids, w_bar)
-    for j, (u, v, w) in enumerate(sub.original_mst_edges):
-        pieces = len(sub.segments[j]) + 1
-        assert sub.piece_weights[j] <= w_bar + 1e-15
-        assert math.isclose(pieces * sub.piece_weights[j], w, rel_tol=1e-12)
+    chains = _mst_chains(g, ids, sub)
+    for i, chain in zip(ids, chains):
+        assert all(w <= w_bar + 1e-15 for w in chain)
+        assert math.isclose(sum(chain), g.edges[i][2], rel_tol=1e-12)
     # the subdivided tree is still a tree on the extended vertex set
     assert len(sub.tree_edges) == sub.extended_vertex_count - 1
-    assert sub.virtual_count == sum(len(c) for c in sub.segments)
+    assert sub.extended_vertex_count - g.n == sum(len(c) - 1 for c in chains) > 0
+
+
+def test_subdivided_tree_is_rooted_preorder():
+    for seed in range(6):
+        g = weighted_graph(10, 20, seed)
+        ids = build_mst(g)
+        sub = subdivide_mst(g, ids, 0.4)
+        n = sub.extended_vertex_count
+        assert sorted(sub.order) == list(range(n))
+        assert sub.order[0] == 0 and sub.parent[0] == 0
+        seen = {0}
+        for v in sub.order[1:]:
+            assert sub.parent[v] in seen  # a parent precedes its child
+            seen.add(v)
+        for a, b, _ in sub.tree_edges:
+            assert sub.parent[a] == b or sub.parent[b] == a
+        assert sorted(eid for row in sub.adj for _, _, eid in row) == sorted(
+            2 * list(range(len(sub.tree_edges)))
+        )
+
+
+def test_subdivide_rejects_a_forest():
+    g = WeightedGraph(4, [(0, 1, 1.0), (2, 3, 1.0)])
+    with pytest.raises(ValueError, match="not connected"):
+        subdivide_mst(g, [0, 1], 1.0)
 
 
 def test_subdivision_preserves_total_weight():
@@ -179,7 +225,7 @@ def test_subdivision_preserves_total_weight():
 def test_subdivision_leaves_light_edges_alone():
     g = WeightedGraph(3, [(0, 1, 0.5), (1, 2, 0.25)])
     sub = subdivide_mst(g, [0, 1], 1.0)
-    assert sub.virtual_count == 0
+    assert sub.extended_vertex_count == g.n
     assert sub.tree_edges == [(0, 1, 0.5), (1, 2, 0.25)]
 
 

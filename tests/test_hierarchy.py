@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 from types import SimpleNamespace
@@ -102,6 +103,16 @@ def test_level1_partitions_every_extended_vertex():
         lvl = build_level1(sub, level0_scale=1.6)
         seen = sorted(v for ms in lvl.members for v in ms)
         assert seen == list(range(sub.extended_vertex_count))
+
+
+def test_level1_leaves_the_shared_tree_untouched():
+    g, ids, sub = _subdivided(5)
+    before = copy.deepcopy((sub.adj, sub.parent, sub.order))
+    for scale in (1.6, 3.0):
+        got = build_level1(sub, level0_scale=scale)
+        want = build_level1(subdivide_mst(g, ids, sub.w_bar), level0_scale=scale)
+        assert got == want
+    assert (sub.adj, sub.parent, sub.order) == before
 
 
 def test_level1_potentials_are_exact_diameters():

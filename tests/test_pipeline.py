@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -23,6 +24,7 @@ from lightspan.pipeline import (
     S_MINOR,
     PipelineConfig,
     _cone_angle,
+    _neighbours,
     _yao_base,
     light_spanner_general,
     light_spanner_geometric,
@@ -384,6 +386,30 @@ def test_yao_base_matches_brute_force(d, mode):
     _, cone_of = cone_selector(d, _cone_angle(cfg.eps_base()))
     want = oracles.yao_graph(p.points, cone_of, r if mode == "udg" else None)
     assert _yao_base(p, cfg).edges == want
+
+
+@pytest.mark.parametrize("d, side", [(2, 1.5), (4, 1.0)])
+def test_udg_candidates_follow_offset_order(d, side):
+    # d = 2 has as many occupied cells as 3^d offsets and walks the offsets;
+    # d = 4 has fewer and scans the occupied cells. Both must list the
+    # candidates in itertools.product offset order, which the sampled
+    # certification depends on.
+    r = 0.5
+    rng = random.Random(d)
+    p = PointSet(d, [tuple(rng.uniform(0.0, side) for _ in range(d)) for _ in range(60)])
+    cell = [tuple(math.floor(c / r) for c in pt) for pt in p.points]
+    assert (len(set(cell)) >= 3**d) == (d == 2)
+    near = _neighbours(p, PipelineConfig(mode="udg", radius=r))
+    for u in range(p.n):
+        want = [
+            (v, p.distance(u, v))
+            for off in itertools.product((-1, 0, 1), repeat=d)
+            for v in range(p.n)
+            if v != u
+            and cell[v] == tuple(k + s for k, s in zip(cell[u], off))
+            and p.distance(u, v) <= r
+        ]
+        assert list(near(u)) == want
 
 
 def test_geometric_builds_load_neither_numpy_nor_scipy():
