@@ -241,11 +241,9 @@ class SubdividedMst:
     """MST with every edge heavier than w_bar split into equal pieces, rooted at 0.
 
     Virtual vertices get ids n_original, n_original+1, ... in edge order.
-    tree_edges holds the subdivided tree, edge ids 0..extended_vertex_count-2;
-    adj lists (neighbor, weight, tree edge id) per vertex in edge-id order.
-    order is the DFS discovery order from vertex 0, parent[v] the vertex that
-    discovered v (parent[0] == 0).  Every weight class is clustered over this
-    one tree, so it is built once per run and only read afterwards.
+    adj lists (neighbor, weight, id in tree_edges) per vertex in id order;
+    order is the DFS discovery order from 0 and parent[0] == 0.  Every weight
+    class is clustered over this one tree, so it is built once and only read.
     """
 
     n_original: int
@@ -261,10 +259,7 @@ class SubdividedMst:
 
 
 def subdivide_mst(g: WeightedGraph, mst_edge_ids: list[int], w_bar: float) -> SubdividedMst:
-    """Split each MST edge of weight > w_bar into ceil(w/w_bar) equal pieces.
-
-    Raises ValueError when the subdivided tree does not span its vertices.
-    """
+    """Split each MST edge of weight > w_bar into ceil(w/w_bar) equal pieces; root at 0."""
     if not (w_bar > 0):
         raise ValueError(f"w_bar must be positive, got {w_bar}")
     tree_edges: list[tuple[int, int, float]] = []

@@ -33,7 +33,7 @@ class NodeWeightedSubgraph:
     edges: list[tuple[int, int, float]]
 
 
-def _tree_adm(node_weights: dict[int, float], edges: list[tuple[int, int, float]]) -> float:
+def _tree_adm(node_weights: dict[int, float], adj: dict[int, list[tuple[int, float]]]) -> float:
     """Exact augmented diameter of a node/edge-weighted tree.
 
     Single post-order pass keeping the two best downward descent values per
@@ -43,10 +43,6 @@ def _tree_adm(node_weights: dict[int, float], edges: list[tuple[int, int, float]
     nodes = list(node_weights)
     if not nodes:
         return 0.0
-    adj: dict[int, list[tuple[int, float]]] = {v: [] for v in nodes}
-    for a, b, w in edges:
-        adj[a].append((b, w))
-        adj[b].append((a, w))
     root = nodes[0]
     order: list[int] = []
     parent: dict[int, int] = {root: root}
@@ -94,10 +90,26 @@ def augmented_diameter(x: NodeWeightedSubgraph) -> float:
     m = len(x.edges)
     if m > n:
         raise UnsupportedShape(f"subgraph has {m} edges on {n} nodes")
+    adj: dict[int, list[tuple[int, float]]] = {v: [] for v in x.node_weights}
+    for a, b, w in x.edges:
+        adj[a].append((b, w))
+        adj[b].append((a, w))
     if m == n - 1:
-        return _tree_adm(x.node_weights, x.edges)
+        return _tree_adm(x.node_weights, adj)
     cycle = _find_cycle(x.node_weights, x.edges)
-    return max(_tree_adm(x.node_weights, x.edges[:i] + x.edges[i + 1 :]) for i in cycle)
+    best = None
+    for skip in cycle:
+        a, b, w = x.edges[skip]
+        adj2: dict[int, list[tuple[int, float]]] = {v: [] for v in x.node_weights}
+        for i, (p, q, wt) in enumerate(x.edges):
+            if i != skip:
+                adj2[p].append((q, wt))
+                adj2[q].append((p, wt))
+        val = _tree_adm(x.node_weights, adj2)
+        if best is None or val > best:
+            best = val
+    assert best is not None
+    return best
 
 
 def _find_cycle(node_weights: dict[int, float], edges: list[tuple[int, int, float]]) -> list[int]:

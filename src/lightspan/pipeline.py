@@ -12,7 +12,6 @@ the metric the result is certified against.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import random
 import time
@@ -29,16 +28,7 @@ from .graphs import (
 )
 from .hierarchy import POTENTIAL_RATIO, build_cluster_graph, build_level1, contract_level
 from .leveling import classify_edges
-from .ssa import (
-    DEFAULT_BETA,
-    SsaInput,
-    cone_selector,
-    s_general,
-    s_geom,
-    ssa_general,
-    ssa_geom,
-    ssa_minor,
-)
+from .ssa import DEFAULT_BETA, SsaInput, cone_selector, s_general, s_geom, ssa_general, ssa_geom, ssa_minor
 from .verify import batched_stretch
 
 S_GENERAL = s_general(DEFAULT_BETA)
@@ -437,9 +427,8 @@ def _neighbours(p: PointSet, cfg: PipelineConfig):
 
     Unit-disk candidates come from grid buckets of cell side = radius, so
     every in-range pair lies in adjacent cells; they are listed cell by cell
-    in itertools.product order, ascending within a cell.  Each occupied
-    cell's neighbour cells are found once, so high dimensions cost no 3^d
-    walk per point.
+    in itertools.product order, ascending within a cell.  Each cell's list
+    comes from one scan of the occupied cells, not a walk of 3^d offsets.
     """
     if cfg.mode != "udg":
         return lambda u: [(v, p.distance(u, v)) for v in range(p.n) if v != u]
@@ -450,23 +439,16 @@ def _neighbours(p: PointSet, cfg: PipelineConfig):
         buckets.setdefault(key, []).append(i)
 
     @functools.cache
-    def cells_around(key: tuple[int, ...]) -> list[list[int]]:
-        # offset tuples sort lexicographically in itertools.product order, so
-        # when fewer cells are occupied than there are offsets, the sorted
-        # offsets of the occupied neighbour cells are the same walk, shorter
-        if 3**p.d <= len(buckets):
-            offsets = itertools.product((-1, 0, 1), repeat=p.d)
-        else:
-            diffs = (tuple(a - k for a, k in zip(c, key)) for c in buckets)
-            offsets = sorted(off for off in diffs if all(-1 <= s <= 1 for s in off))
-        cells = (tuple(k + s for k, s in zip(key, off)) for off in offsets)
-        return [buckets[c] for c in cells if c in buckets]
+    def candidates(key: tuple[int, ...]) -> list[int]:
+        # offset tuples sort lexicographically in itertools.product order
+        diffs = ((tuple(a - k for a, k in zip(c, key)), c) for c in buckets)
+        adjacent = sorted((off, c) for off, c in diffs if all(-1 <= s <= 1 for s in off))
+        return [v for _, c in adjacent for v in buckets[c]]
 
     def near(u: int):
-        for members in cells_around(cell[u]):
-            for v in members:
-                if v != u and (dist := p.distance(u, v)) <= r:
-                    yield v, dist
+        for v in candidates(cell[u]):
+            if v != u and (dist := p.distance(u, v)) <= r:
+                yield v, dist
 
     return near
 

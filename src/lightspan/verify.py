@@ -33,7 +33,11 @@ def measure_stretch(
     edge id attaining the maximum.
     """
     demands = list(range(g.m)) if edge_ids is None else sorted(edge_ids)
-    adj = WeightedGraph(g.n, [g.edges[i] for i in h_edge_ids]).weighted_adjacency()
+    adj: list[list[tuple[int, float]]] = [[] for _ in range(g.n)]
+    for i in h_edge_ids:
+        u, v, w = g.edges[i]
+        adj[u].append((v, w))
+        adj[v].append((u, w))
     by_src: dict[int, list[int]] = {}
     for eid in demands:
         u, v, _ = g.edges[eid]
@@ -230,7 +234,14 @@ def _check_prefix_diameter(report, trace, sigma, levels, edges, n_ext) -> None:
 
     kept_before: list[int] = []
     for row in levels:
-        adj = WeightedGraph(n_ext, base + [edges[eid] for eid in kept_before]).weighted_adjacency()
+        adj: list[list[tuple[int, float]]] = [[] for _ in range(n_ext)]
+        for u, v, w in base:
+            adj[u].append((v, w))
+            adj[v].append((u, w))
+        for eid in kept_before:
+            u, v, w = edges[eid]
+            adj[u].append((v, w))
+            adj[v].append((u, w))
 
         worst = None
         for cid, members in enumerate(row["members"]):

@@ -390,9 +390,8 @@ def test_yao_base_matches_brute_force(d, mode):
 
 @pytest.mark.parametrize("d, side", [(2, 1.5), (4, 1.0)])
 def test_udg_candidates_follow_offset_order(d, side):
-    # d = 2 has as many occupied cells as 3^d offsets and walks the offsets;
-    # d = 4 has fewer and scans the occupied cells. Both must list the
-    # candidates in itertools.product offset order, which the sampled
+    # d = 2 occupies at least 3^d cells, d = 4 fewer. Either way the
+    # candidates come in itertools.product offset order, which the sampled
     # certification depends on.
     r = 0.5
     rng = random.Random(d)
