@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .hierarchy import POTENTIAL_RATIO, ClusterGraph, NodeWeightedSubgraph, augmented_diameter
+from .hierarchy import POTENTIAL_RATIO, ClusterGraph, augmented_diameter
 
 # below this, every per-step constant from the analysis holds literally
 STRICT_EPS = 1.0 / (8 * (POTENTIAL_RATIO + 1))
@@ -141,42 +141,39 @@ class _State:
             self.assign(v, xid)
         self.parts[xid].tree_eids.extend(eids[lo:hi])
 
-    def farthest(self, src: int, members: set[int]) -> tuple[int, float, dict[int, float]]:
-        """Deepest node by augmented distance within the ungrouped component."""
+    def farthest(
+        self, src: int, members: set[int]
+    ) -> tuple[int, float, dict[int, float], dict[int, tuple[int, int]]]:
+        """Deepest node by augmented distance within the ungrouped component,
+        with each reached node's distance and (parent, tree edge id)."""
         dist = {src: self.w[src]}
+        up: dict[int, tuple[int, int]] = {}
         best, best_d = src, self.w[src]
         stack = [src]
         while stack:
             v = stack.pop()
             dv = dist[v]
-            for u, wt, _ in self.alive_tree_neighbors(v):
+            for u, wt, tid in self.alive_tree_neighbors(v):
                 if u in members and u not in dist:
                     d = dv + wt + self.w[u]
                     dist[u] = d
+                    up[u] = (v, tid)
                     if d > best_d or (d == best_d and u < best):
                         best, best_d = u, d
                     stack.append(u)
-        return best, best_d, dist
+        return best, best_d, dist, up
 
     def diameter_path(self, nodes: list[int]) -> tuple[list[int], list[float], list[int], float]:
         """Augmented diameter path: node list, prefix sums, edge ids, Adm."""
         members = set(nodes)
-        a, _, _ = self.farthest(min(nodes), members)
-        b, adm, dist = self.farthest(a, members)
-        # walk back from b to a along decreasing distance
+        a, _, _, _ = self.farthest(min(nodes), members)
+        b, adm, dist, up = self.farthest(a, members)
         path = [b]
         eids: list[int] = []
-        cur = b
-        while cur != a:
-            nxt = None
-            for u, wt, tid in self.alive_tree_neighbors(cur):
-                if u in dist and abs(dist[u] + wt + self.w[cur] - dist[cur]) <= 1e-9 * max(1.0, dist[cur]):
-                    nxt = (u, tid)
-                    break
-            assert nxt is not None, "diameter walk lost its way"
-            path.append(nxt[0])
-            eids.append(nxt[1])
-            cur = nxt[0]
+        while path[-1] != a:
+            v, tid = up[path[-1]]
+            path.append(v)
+            eids.append(tid)
         path.reverse()
         eids.reverse()
         # dist[] sums from a along the path: the prefix sums of the path
@@ -551,14 +548,12 @@ def step5_paths(state: _State) -> bool:
 # node partition and driver
 
 
-def partition_nodes(state: _State, degenerate: bool) -> list[str]:
+def partition_nodes(state: _State, high: list[int], degenerate: bool) -> list[str]:
     if degenerate:
         return ["low-"] * state.n
-    thresh = 2.0 * state.g / state.eps
     kind = ["low+"] * state.n
-    for v in range(state.n):
-        if len(state.class_adj[v]) >= thresh:
-            kind[v] = "high"
+    for v in high:
+        kind[v] = "high"
     for x in state.parts:
         if x.tag == "Step5-intrnl":
             for v in x.nodes:
@@ -571,7 +566,7 @@ def cluster_level(cg: ClusterGraph, eps: float, strict: bool = False) -> Cluster
     if strict and eps > STRICT_EPS:
         raise ValueError(f"strict mode needs eps <= {STRICT_EPS}, got {eps}")
     state = _State(cg, eps, strict)
-    step1_high_nodes(state)
+    high = step1_high_nodes(state)
     step2_branching(state)
     step3_augment(state)
     step4_blue_pairs(state)
@@ -579,7 +574,7 @@ def cluster_level(cg: ClusterGraph, eps: float, strict: bool = False) -> Cluster
 
     assert all(ow != -1 for ow in state.owner), "clustering left a node behind"
 
-    kind = partition_nodes(state, degenerate)
+    kind = partition_nodes(state, high, degenerate)
     for a, b, _, _ in cg.class_edges:
         assert not (kind[a] == "high" and kind[b] == "low-") and not (
             kind[b] == "high" and kind[a] == "low-"
@@ -602,7 +597,7 @@ def cluster_level(cg: ClusterGraph, eps: float, strict: bool = False) -> Cluster
             (cg.class_edges[c][0], cg.class_edges[c][1], cg.class_edges[c][2])
             for c in x.class_eids
         ]
-        a = augmented_diameter(NodeWeightedSubgraph(nw, edges))
+        a = augmented_diameter(nw, edges)
         d = sum(nw.values()) - a
         # corrected drop: the local drop plus the tree edges x consumes
         dplus = d + sum(cg.tree_edges[t][2] for t in x.tree_eids)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections.abc import Collection
+from collections.abc import Collection, Iterable
 from dataclasses import dataclass
 
 from .unionfind import UnionFind
@@ -188,16 +188,28 @@ def format_points(ps: PointSet) -> str:
 # normalization and cleanup before the pipeline
 
 
+def lightest_per_pair(edges: Iterable[tuple[int, int, float, int]]) -> Iterable[tuple[float, int, int, int]]:
+    """The lightest of each unordered pair's (a, b, w, src) edges, ties to the
+    lower src, as (w, src, a, b) in order of the pair's first edge.
+
+    Edges with a == b are skipped.
+    """
+    best: dict[tuple[int, int], tuple[float, int, int, int]] = {}
+    for a, b, w, src in edges:
+        if a == b:
+            continue
+        key = (a, b) if a < b else (b, a)
+        prev = best.get(key)
+        if prev is None or (w, src) < prev[:2]:
+            best[key] = (w, src, a, b)
+    return best.values()
+
+
 def dedup_parallel(g: WeightedGraph) -> WeightedGraph:
     """Keep the minimum-weight edge per vertex pair (ties by first occurrence)."""
-    best: dict[tuple[int, int], tuple[float, int]] = {}
-    for i, (u, v, w) in enumerate(g.edges):
-        key = (u, v) if u < v else (v, u)
-        cur = best.get(key)
-        if cur is None or w < cur[0]:
-            best[key] = (w, i)
-    keep = sorted(i for _, i in best.values())
-    return WeightedGraph(g.n, [g.edges[i] for i in keep])
+    edges = g.edges
+    keep = sorted(i for _, i, _, _ in lightest_per_pair((u, v, w, i) for i, (u, v, w) in enumerate(edges)))
+    return WeightedGraph(g.n, [edges[i] for i in keep])
 
 
 def normalize(g: WeightedGraph) -> tuple[WeightedGraph, float]:

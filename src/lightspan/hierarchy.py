@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .graphs import SubdividedMst, WeightedGraph
+from .graphs import SubdividedMst, WeightedGraph, lightest_per_pair
 from .unionfind import UnionFind
 
 if TYPE_CHECKING:  # avoids a cycle: clustering builds on this module
@@ -25,135 +25,79 @@ class UnsupportedShape(ValueError):
     """augmented_diameter got a subgraph with two or more independent cycles."""
 
 
-@dataclass
-class NodeWeightedSubgraph:
-    """Small subgraph with weights on both nodes and edges."""
-
-    node_weights: dict[int, float]
-    edges: list[tuple[int, int, float]]
-
-
-def _tree_adm(node_weights: dict[int, float], adj: dict[int, list[tuple[int, float]]]) -> float:
+def _tree_adm(node_weights: dict[int, float], edges: list[tuple[int, int, float]]) -> float:
     """Exact augmented diameter of a node/edge-weighted tree.
 
-    Single post-order pass keeping the two best downward descent values per
-    node; a plain two-sweep diameter search is not exact once nodes carry
-    weight.
+    Single post-order pass from the first node keeping the two best downward
+    descent values per node; a plain two-sweep diameter search is not exact
+    once nodes carry weight.
     """
-    nodes = list(node_weights)
-    if not nodes:
-        return 0.0
-    root = nodes[0]
-    order: list[int] = []
-    parent: dict[int, int] = {root: root}
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        for u, _ in adj.get(v, ()):
-            if u not in parent:
-                parent[u] = v
-                stack.append(u)
-    if len(order) != len(nodes):
+    adj: dict[int, list[tuple[int, float]]] = {v: [] for v in node_weights}
+    for a, b, w in edges:
+        adj[a].append((b, w))
+        adj[b].append((a, w))
+    root = next(iter(node_weights))
+    # node -> (parent, weight of the edge to it); order lists parents first
+    up: dict[int, tuple[int, float]] = {root: (root, 0.0)}
+    order = [root]
+    for v in order:
+        for u, w in adj[v]:
+            if u not in up:
+                up[u] = (v, w)
+                order.append(u)
+    if len(order) != len(node_weights):
         raise ValueError("subgraph is not connected")
-    down: dict[int, float] = {}
+    top = {v: [0.0, 0.0] for v in order}
     best = 0.0
     for v in reversed(order):
-        top1 = 0.0
-        top2 = 0.0
-        for u, w in adj.get(v, ()):
-            if u == v or parent.get(u) != v or u == root:
-                continue
-            c = w + down[u]
-            if c > top1:
-                top1, top2 = c, top1
-            elif c > top2:
-                top2 = c
-        down[v] = node_weights[v] + top1
-        through = node_weights[v] + top1 + top2
-        if through > best:
-            best = through
+        top1, top2 = top[v]
+        down = node_weights[v] + top1
+        if down + top2 > best:
+            best = down + top2
+        if v != root:
+            p, w = up[v]
+            c = w + down
+            tp = top[p]
+            if c > tp[0]:
+                tp[0], tp[1] = c, tp[0]
+            elif c > tp[1]:
+                tp[1] = c
     return best
 
 
-def augmented_diameter(x: NodeWeightedSubgraph) -> float:
+def augmented_diameter(node_weights: dict[int, float], edges: list[tuple[int, int, float]]) -> float:
     """Maximum pairwise augmented distance (edge plus node weights on the path).
 
     Exact for trees.  A tree plus one extra edge is also exact: a simple path
     avoids at least one cycle edge, and deleting any cycle edge only removes
     paths, so the answer is the maximum tree diameter over single cycle-edge
-    deletions.  Two or more independent cycles raise UnsupportedShape.
+    deletions.  The cycle is what remains after peeling degree-1 nodes until
+    none are left.  Two or more independent cycles raise UnsupportedShape.
     """
-    n = len(x.node_weights)
+    n = len(node_weights)
+    m = len(edges)
     if n == 0:
         return 0.0
-    m = len(x.edges)
     if m > n:
         raise UnsupportedShape(f"subgraph has {m} edges on {n} nodes")
-    adj: dict[int, list[tuple[int, float]]] = {v: [] for v in x.node_weights}
-    for a, b, w in x.edges:
-        adj[a].append((b, w))
-        adj[b].append((a, w))
-    if m == n - 1:
-        return _tree_adm(x.node_weights, adj)
-    cycle = _find_cycle(x.node_weights, x.edges)
-    best = None
-    for skip in cycle:
-        a, b, w = x.edges[skip]
-        adj2: dict[int, list[tuple[int, float]]] = {v: [] for v in x.node_weights}
-        for i, (p, q, wt) in enumerate(x.edges):
-            if i != skip:
-                adj2[p].append((q, wt))
-                adj2[q].append((p, wt))
-        val = _tree_adm(x.node_weights, adj2)
-        if best is None or val > best:
-            best = val
-    assert best is not None
-    return best
-
-
-def _find_cycle(node_weights: dict[int, float], edges: list[tuple[int, int, float]]) -> list[int]:
-    """Edge ids of the unique cycle in a connected unicyclic subgraph."""
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in node_weights}
-    for i, (a, b, _) in enumerate(edges):
-        adj[a].append((b, i))
-        adj[b].append((a, i))
-    start = next(iter(node_weights))
-    parent_edge: dict[int, int] = {start: -1}
-    parent: dict[int, int] = {start: start}
-    stack = [start]
-    back = None
-    while stack and back is None:
-        v = stack.pop()
-        for u, eid in adj[v]:
-            if eid == parent_edge.get(v):
-                continue
-            if u in parent:
-                back = (v, u, eid)
-                break
-            parent[u] = v
-            parent_edge[u] = eid
-            stack.append(u)
-    if back is None:
-        raise ValueError("expected a cycle in a unicyclic subgraph")
-    v, u, eid = back
-    # walk both endpoints of the back edge up to their meeting point
-    path_v = {v: None}
-    cur = v
-    while parent[cur] != cur:
-        path_v[parent[cur]] = parent_edge[cur]
-        cur = parent[cur]
-    cycle = [eid]
-    cur = u
-    while cur not in path_v:
-        cycle.append(parent_edge[cur])
-        cur = parent[cur]
-    meet = cur
-    cur = v
-    while cur != meet:
-        cycle.append(parent_edge[cur])
-        cur = parent[cur]
-    return cycle
+    if m < n:
+        return _tree_adm(node_weights, edges)
+    adj: dict[int, list[int]] = {v: [] for v in node_weights}
+    for a, b, _ in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    deg = {v: len(us) for v, us in adj.items()}
+    leaves = [v for v, d in deg.items() if d == 1]
+    while leaves:
+        for u in adj[leaves.pop()]:
+            deg[u] -= 1
+            if deg[u] == 1:
+                leaves.append(u)
+    return max(
+        _tree_adm(node_weights, edges[:i] + edges[i + 1 :])
+        for i, (a, b, _) in enumerate(edges)
+        if deg[a] >= 2 and deg[b] >= 2
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +121,6 @@ class ClusterLevel:
     tree_edges: list[tuple[int, int, float, int]]
     # original vertex -> id of the cluster holding it
     cluster_of: list[int]
-    # class-edge scale this level serves; the driver fills it in
-    scale: float = 0.0
     # clusters exempt from the lower potential bound (terminal base cases)
     collapse: list[bool] = field(default_factory=list)
 
@@ -318,7 +260,6 @@ class ClusterGraph:
     prev_scale: float
     w_bar: float
     node_source: list[int]
-    collapse: list[bool] = field(default_factory=list)
 
     @property
     def n_nodes(self) -> int:
@@ -447,19 +388,12 @@ def build_cluster_graph(
     its own weight is deleted outright.
     """
     cluster_of = level.cluster_of
-    best: dict[tuple[int, int], tuple[float, int, int, int]] = {}
-    for eid in class_edge_ids:
-        u, v, w = g.edges[eid]
-        cu = cluster_of[u]
-        cv = cluster_of[v]
-        if cu == cv:
-            continue
-        key = (cu, cv) if cu < cv else (cv, cu)
-        cand = (w, eid, cu, cv)
-        prev = best.get(key)
-        if prev is None or cand[:2] < prev[:2]:
-            best[key] = cand
-    deduped = sorted(best.values(), key=lambda c: c[1])
+    edges = g.edges
+    lifted = (
+        (cluster_of[edges[eid][0]], cluster_of[edges[eid][1]], edges[eid][2], eid)
+        for eid in class_edge_ids
+    )
+    deduped = sorted(lightest_per_pair(lifted), key=lambda c: c[1])
 
     chains = _ChainIndex(level.cluster_count, level.potentials, level.tree_edges)
     slack = t * (1.0 + 6.0 * POTENTIAL_RATIO * eps)
@@ -478,7 +412,6 @@ def build_cluster_graph(
         prev_scale=level.prev_scale,
         w_bar=w_bar,
         node_source=list(level.representatives),
-        collapse=list(level.collapse),
     )
 
 
@@ -505,20 +438,10 @@ def contract_level(level: ClusterLevel, subgraphs: "ClusteringOutcome") -> Clust
     for cid, ms in enumerate(level.members):
         members[new_of[cid]].extend(ms)
 
-    best: dict[tuple[int, int], tuple[float, int, int, int]] = {}
-    for cu, cv, w, src in level.tree_edges:
-        nu, nv = new_of[cu], new_of[cv]
-        if nu == nv:
-            continue
-        key = (nu, nv) if nu < nv else (nv, nu)
-        cand = (w, src, nu, nv)
-        prev = best.get(key)
-        if prev is None or cand[:2] < prev[:2]:
-            best[key] = cand
-
+    lifted = ((new_of[cu], new_of[cv], w, src) for cu, cv, w, src in level.tree_edges)
     forest = UnionFind(len(groups))
     tree_edges: list[tuple[int, int, float, int]] = []
-    for w, src, nu, nv in sorted(best.values(), key=lambda c: c[:2]):
+    for w, src, nu, nv in sorted(lightest_per_pair(lifted), key=lambda c: c[:2]):
         if forest.union(nu, nv):
             tree_edges.append((nu, nv, w, src))
     if len(tree_edges) != len(groups) - 1:

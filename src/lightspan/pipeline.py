@@ -178,7 +178,6 @@ def _class_spanner(g, sub, schedule, sigma, cfg, backend, ssa_clock, level_rows,
     rows_here: list[dict] = []
     for i in range(1, max_i + 1):
         li = schedule.level_threshold(sigma, i)
-        lvl.scale = li
         cg = build_cluster_graph(
             lvl, cells.get(i, []), g, cfg.t(), cfg.eps(), level_scale=li, w_bar=sub.w_bar
         )

@@ -1,11 +1,12 @@
 import math
 import random
+import signal
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lightspan.clustering import STRICT_EPS, cluster_level
+from lightspan.clustering import STRICT_EPS, _State, cluster_level
 from lightspan.hierarchy import POTENTIAL_RATIO, ClusterGraph
 
 G = POTENTIAL_RATIO
@@ -27,7 +28,6 @@ def make_cg(node_weights, tree_pairs, class_pairs, scale=L, prev=None, w_bar=Non
         prev_scale=prev,
         w_bar=w_bar,
         node_source=list(range(len(node_weights))),
-        collapse=[False] * len(node_weights),
     )
 
 
@@ -196,6 +196,29 @@ def test_step4_pairs_deep_class_edge_intervals():
     paired = out.groups[out.tags.index("Step4")]
     assert mid1 in paired and mid2 in paired
     assert not out.degenerate
+
+
+def test_diameter_path_follows_tree_edges_across_wide_weights():
+    # weights spanning ~10^15: the leaf 3 hangs off the path at a distance
+    # within float rounding of its neighbor's, so a walk that matches
+    # distances up to a tolerance can step onto it and never return
+    cg = make_cg([0.0] * 4, [(1, 3, 1e-3), (0, 1, 1e12), (1, 2, 1e12)], [])
+
+    def give_up(signum, frame):
+        raise TimeoutError("diameter_path did not return")
+
+    old = signal.signal(signal.SIGALRM, give_up)
+    signal.alarm(5)
+    try:
+        found = _State(cg, 0.25, False).diameter_path([0, 1, 2, 3])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    path, prefix, eids, adm = found
+    assert path == [2, 1, 0]
+    assert eids == [2, 1]
+    assert prefix == [0.0, 1e12, 2e12]
+    assert adm == 2e12
 
 
 def test_strict_mode_rejects_large_eps():
