@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .hierarchy import POTENTIAL_RATIO, ClusterGraph, augmented_diameter
+from .hierarchy import POTENTIAL_RATIO, ClusterGraph, InvariantViolation, augmented_diameter
 
 # below this, every per-step constant from the analysis holds literally
 STRICT_EPS = 1.0 / (8 * (POTENTIAL_RATIO + 1))
@@ -85,7 +85,8 @@ class _State:
         return len(self.parts) - 1
 
     def assign(self, v: int, xid: int) -> None:
-        assert self.owner[v] == -1, f"node {v} grouped twice"
+        if self.owner[v] != -1:
+            raise InvariantViolation(f"node {v} grouped twice")
         self.owner[v] = xid
         self.parts[xid].nodes.append(v)
 
@@ -212,7 +213,8 @@ def step1_high_nodes(state: _State) -> list[int]:
             (u for u, _, _ in state.class_adj[v] if state.owner[u] != -1),
             default=None,
         )
-        assert host is not None, "ungrouped step-1 node with no grouped neighbor"
+        if host is None:
+            raise InvariantViolation("ungrouped step-1 node with no grouped neighbor")
         cid = next(c for u, _, c in state.class_adj[v] if u == host)
         xid = state.owner[host]
         state.assign(v, xid)
@@ -221,7 +223,8 @@ def step1_high_nodes(state: _State) -> list[int]:
 
     if state.strict:
         for x in state.parts:
-            assert len(x.nodes) >= thresh, "step-1 part below its size bound"
+            if len(x.nodes) < thresh:
+                raise InvariantViolation("step-1 part below its size bound")
     return high
 
 
@@ -322,9 +325,10 @@ def step2_branching(state: _State) -> None:
                 break
             ball, radius = _carve_ball(state, v)
             carved_any = True
-            assert radius >= L, "carve failed to reach the level scale"
-            if state.strict:
-                assert radius <= L + state.cg.w_bar + state.g * state.eps * L
+            if radius < L:
+                raise InvariantViolation("carve failed to reach the level scale")
+            if state.strict and radius > L + state.cg.w_bar + state.g * state.eps * L:
+                raise InvariantViolation("carved ball above its radius bound")
             # jump past the clipped window of the path
             wr = j
             while wr + 1 < len(path) and path[wr + 1] in ball:
@@ -364,7 +368,8 @@ def step3_augment(state: _State) -> None:
             if state.owner[u] != -1 and state.parts[state.owner[u]].tag in ("Step1", "Step2"):
                 if host_edge is None or u < host_edge[0]:
                     host_edge = (u, tid)
-        assert host_edge is not None, "stranded branching node has no grouped neighbor"
+        if host_edge is None:
+            raise InvariantViolation("stranded branching node has no grouped neighbor")
         xid = state.owner[host_edge[0]]
         state.assign(phi, xid)
         state.parts[xid].tree_eids.append(host_edge[1])
@@ -391,7 +396,8 @@ class _Paths:
             if found is None:
                 continue
             path, pre, peids, _ = found
-            assert len(path) == len(comp), "long tree survived the earlier steps unpathed"
+            if len(path) != len(comp):
+                raise InvariantViolation("long tree survived the earlier steps unpathed")
             pid = len(self.paths)
             self.paths.append(path)
             self.pres.append(pre)
@@ -472,7 +478,8 @@ def step4_blue_pairs(state: _State) -> None:
         both_blue = (
             state.alive(a) and state.alive(b) and paths.color[a] == "b" and paths.color[b] == "b"
         )
-        assert not both_blue, "a deep pair survived step 4"
+        if both_blue:
+            raise InvariantViolation("a deep pair survived step 4")
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +507,8 @@ def step5_paths(state: _State) -> bool:
                         if ow != -1 and state.parts[ow].tag in grouped_tags:
                             if host is None or nb < host[0]:
                                 host = (nb, tid)
-                assert host is not None, "short tree with no grouped neighbor"
+                if host is None:
+                    raise InvariantViolation("short tree with no grouped neighbor")
                 xid = state.owner[host[0]]
                 state.parts[xid].tree_eids.append(host[1])
             inner = set(comp)
@@ -513,7 +521,8 @@ def step5_paths(state: _State) -> bool:
             continue
 
         # long leftover: must be a bare path; split greedily
-        assert path is not None and len(path) == len(comp), "long leftover tree is not a path"
+        if path is None or len(path) != len(comp):
+            raise InvariantViolation("long leftover tree is not a path")
         if path[0] > path[-1]:
             path.reverse()
             peids.reverse()
@@ -531,7 +540,8 @@ def step5_paths(state: _State) -> bool:
         if start != 0 and (not pieces or pieces[-1][1] != len(path) - 1):
             # leftover too light to stand alone: merge into the final piece
             pieces[-1] = (pieces[-1][0], len(path) - 1)
-        assert pieces and pieces[0][0] == 0 and pieces[-1][1] == len(path) - 1
+        if not (pieces and pieces[0][0] == 0 and pieces[-1][1] == len(path) - 1):
+            raise InvariantViolation("path pieces do not cover the path")
 
         for lo, hi in pieces:
             # pieces stand alone: each carries >= L of its own, and letting
@@ -572,15 +582,16 @@ def cluster_level(cg: ClusterGraph, eps: float, strict: bool = False) -> Cluster
     step4_blue_pairs(state)
     degenerate = step5_paths(state)
 
-    assert all(ow != -1 for ow in state.owner), "clustering left a node behind"
+    if -1 in state.owner:
+        raise InvariantViolation("clustering left a node behind")
 
     kind = partition_nodes(state, high, degenerate)
     for a, b, _, _ in cg.class_edges:
-        assert not (kind[a] == "high" and kind[b] == "low-") and not (
-            kind[b] == "high" and kind[a] == "low-"
-        ), "class edge joins a heavy node to a deep-path node"
+        if {kind[a], kind[b]} == {"high", "low-"}:
+            raise InvariantViolation("class edge joins a heavy node to a deep-path node")
     if degenerate and not any(x.collapse for x in state.parts):
-        assert len(cg.class_edges) <= 4 * state.g / eps**2 + 1e-9
+        if len(cg.class_edges) > 4 * state.g / eps**2 + 1e-9:
+            raise InvariantViolation("degenerate level with too many class edges")
 
     # bounds below only hold when eps is in the analyzed regime; larger
     # eps still runs, with stretch certified downstream instead
@@ -605,13 +616,17 @@ def cluster_level(cg: ClusterGraph, eps: float, strict: bool = False) -> Cluster
         local.append(d)
         corrected.append(dplus)
         if analyzed:
-            assert dplus >= -1e-9 * state.L, f"corrected potential drop went negative: {dplus}"
+            if dplus < -1e-9 * state.L:
+                raise InvariantViolation(f"corrected potential drop went negative: {dplus}")
             if not x.collapse:
-                assert a >= state.L - 1e-9 * state.L, "part below the level scale"
-                assert a <= state.g * state.L * (1 + 1e-9), "part above the potential window"
+                if a < state.L - 1e-9 * state.L:
+                    raise InvariantViolation("part below the level scale")
+                if a > state.g * state.L * (1 + 1e-9):
+                    raise InvariantViolation("part above the potential window")
                 if strict and x.tag == "Step2":
                     need = state.L / (2 * state.g * cg.prev_scale)
-                    assert len(x.nodes) >= need - 1e-9
+                    if len(x.nodes) < need - 1e-9:
+                        raise InvariantViolation("step-2 part below its size bound")
 
     return ClusteringOutcome(
         groups=[x.nodes for x in state.parts],

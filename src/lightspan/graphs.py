@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections.abc import Collection, Iterable
+from collections.abc import Callable, Collection, Iterable
 from dataclasses import dataclass
 
 from .unionfind import UnionFind
@@ -322,6 +322,7 @@ def dijkstra(
     source: int,
     cutoff: float | None = None,
     targets: Collection[int] | None = None,
+    potential: Callable[[int], float] | None = None,
 ) -> list[float]:
     """Exact nonnegative shortest paths from source; unreachable = inf.
 
@@ -330,16 +331,30 @@ def dijkstra(
     target has been settled: each target's distance is then exact, bit for
     bit what the full search gives, while vertices not yet settled hold a
     tentative value or inf.  A target the search cannot reach stays at inf.
+
+    `potential(v)` turns the search into A* towards a single target: the
+    heap orders vertices by d + potential(v) in place of d, and a vertex
+    whose distance improves after it was settled is searched again.  It
+    must be a lower bound that holds in float arithmetic: for every path
+    from source to the target through v whose part up to v sums to d,
+    d + potential(v) may not exceed the path's float sum.  Then no vertex
+    of a shortest path is left in the heap behind the target, so the
+    target's distance is the least float path sum, bit for bit the plain
+    search's, ties included.  It needs exactly one target and no cutoff.
     """
     n = len(adj)
     dist = [math.inf] * n
     dist[source] = 0.0
     pending = None if targets is None else set(targets)
+    if potential is not None and (cutoff is not None or pending is None or len(pending) != 1):
+        raise ValueError("a potential needs exactly one target and no cutoff")
     if pending is not None and not pending:
         return dist
-    heap = [(0.0, source)]
+    # items are (key, distance, vertex); without a potential the key is the
+    # distance, so the heap orders them as plain (distance, vertex) pairs
+    heap = [(0.0, 0.0, source)]
     while heap:
-        d, u = heapq.heappop(heap)
+        _, d, u = heapq.heappop(heap)
         if d > dist[u]:
             continue
         if cutoff is not None and d > cutoff:
@@ -354,5 +369,5 @@ def dijkstra(
                 if cutoff is not None and nd > cutoff:
                     continue
                 dist[v] = nd
-                heapq.heappush(heap, (nd, v))
+                heapq.heappush(heap, (nd if potential is None else nd + potential(v), nd, v))
     return dist

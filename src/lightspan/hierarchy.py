@@ -21,6 +21,13 @@ if TYPE_CHECKING:  # avoids a cycle: clustering builds on this module
 POTENTIAL_RATIO = 31
 
 
+class InvariantViolation(ValueError):
+    """An internal invariant of the construction failed.
+
+    Raised in place of `assert` so the checks also run under `python -O`.
+    """
+
+
 class UnsupportedShape(ValueError):
     """augmented_diameter got a subgraph with two or more independent cycles."""
 
@@ -217,7 +224,8 @@ def build_level1(sub: SubdividedMst, level0_scale: float) -> ClusterLevel:
                     c = cluster_of[u]
                     if c != -1 and (target is None or c < target):
                         target = c
-            assert target is not None
+            if target is None:
+                raise InvariantViolation("carved root piece has no carved neighbour")
             for v in leftover:
                 cluster_of[v] = target
                 clusters[target].append(v)

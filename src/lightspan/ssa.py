@@ -15,7 +15,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 
-from .hierarchy import POTENTIAL_RATIO
+from .hierarchy import POTENTIAL_RATIO, InvariantViolation
 
 DEFAULT_BETA = 2 * POTENTIAL_RATIO
 
@@ -70,9 +70,10 @@ class SsaOutput:
     stretch_constant: float  # s(beta)
 
     def assert_sparse(self, n_nodes: int) -> None:
-        assert len(self.pruned) - 1e-9 <= self.sparsity * max(1, n_nodes), (
-            f"kept {len(self.pruned)} edges, allowed {self.sparsity} * {n_nodes}"
-        )
+        if len(self.pruned) - 1e-9 > self.sparsity * max(1, n_nodes):
+            raise InvariantViolation(
+                f"kept {len(self.pruned)} edges, allowed {self.sparsity} * {n_nodes}"
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 Everything here is independent of the construction path.  Stretch is
 measured with exact Dijkstra runs over the candidate subgraph (plain
 Python, each search stopping once its source's demanded endpoints are
-settled, or scipy in source blocks for large demand sets), the greedy
+settled, or one A* search per demand when the caller supplies a distance
+lower bound, or scipy in source blocks for large demand sets), the greedy
 baseline re-derives a spanner from scratch, and check_hierarchy replays a
 recorded trace against the potential bookkeeping rules.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .graphs import WeightedGraph, dijkstra
@@ -22,7 +24,10 @@ class NotSpanning(ValueError):
 
 
 def measure_stretch(
-    g: WeightedGraph, h_edge_ids: list[int], edge_ids: list[int] | None = None
+    g: WeightedGraph,
+    h_edge_ids: list[int],
+    edge_ids: list[int] | None = None,
+    lower_bound: Callable[[int, int], float] | None = None,
 ) -> tuple[float, int]:
     """Max over demanded edges of d_H(u,v)/w(u,v), with its witness edge id.
 
@@ -31,6 +36,13 @@ def measure_stretch(
     by h_edge_ids, one per distinct lower endpoint, each stopping once that
     source's demanded upper endpoints are settled; the witness is the lowest
     edge id attaining the maximum.
+
+    With `lower_bound(v, t)`, a lower bound on the distance from v to t that
+    holds in float arithmetic (see `dijkstra`'s `potential`), each demand
+    gets its own A* search from its lower to its upper endpoint instead.
+    The searches run in the same direction, so every distance, and with it
+    the result, is bit for bit the same; they pay off when a source has few
+    demanded endpoints, as in a sparse sample of pairs.
     """
     demands = list(range(g.m)) if edge_ids is None else sorted(edge_ids)
     adj: list[list[tuple[int, float]]] = [[] for _ in range(g.n)]
@@ -45,10 +57,14 @@ def measure_stretch(
     best, witness = -math.inf, -1
     for src in sorted(by_src):
         eids = by_src[src]
-        dist = dijkstra(adj, src, targets={max(g.edges[eid][:2]) for eid in eids})
+        if lower_bound is None:
+            dist = dijkstra(adj, src, targets={max(g.edges[eid][:2]) for eid in eids})
         for eid in eids:
             u, v, w = g.edges[eid]
-            d = dist[max(u, v)]
+            t = max(u, v)
+            if lower_bound is not None:
+                dist = dijkstra(adj, src, targets=(t,), potential=lambda x: lower_bound(x, t))
+            d = dist[t]
             if math.isinf(d):
                 raise NotSpanning(f"edge {eid} ({u},{v}): no path in the candidate subgraph")
             ratio = d / w

@@ -1,3 +1,4 @@
+import math
 import random
 
 from lightspan.graphs import WeightedGraph
@@ -20,3 +21,9 @@ def weighted_graph(n, m, seed, lo=1.0, hi=10.0, parallel=False):
             continue
         edges.append((u, v, rng.uniform(lo, hi)))
     return WeightedGraph(n, edges)
+
+
+def point_graph(points, m, seed):
+    """Seeded connected graph on the points; each edge weighs math.dist of its ends."""
+    g = weighted_graph(len(points), m, seed)
+    return WeightedGraph(g.n, [(u, v, math.dist(points[u], points[v])) for u, v, _ in g.edges])

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import weighted_graph
+from conftest import point_graph, weighted_graph
 from lightspan.graphs import (
     DegeneratePoints,
     DisconnectedGraph,
@@ -280,3 +280,60 @@ def test_dijkstra_unreachable_target_stays_inf():
     dist = dijkstra(g.weighted_adjacency(), 0, targets={1, 3})
     assert dist[1] == 1.0
     assert math.isinf(dist[3])
+
+
+def _toward(points, t, shrink):
+    return lambda v: math.dist(points[v], points[t]) * shrink
+
+
+def test_dijkstra_potential_matches_full_search_exactly():
+    # the straight-line distance, shrunk as geometric certification does
+    cases = []
+    for seed in range(8):
+        rng = random.Random(seed)
+        pts = [(rng.random(), rng.random()) for _ in range(40)]
+        cases.append((pts, point_graph(pts, 120, seed), 1 - 1e-9))
+    # collinear points a tenth apart with steps of one and two: many
+    # equal-length paths, and the bound equals their length in exact arithmetic
+    line = [(0.1 * i, 0.0) for i in range(25)]
+    steps = [(i, j) for i in range(25) for j in (i + 1, i + 2) if j < 25]
+    cases.append((line, WeightedGraph(25, [(i, j, math.dist(line[i], line[j])) for i, j in steps]), 1 - 1e-9))
+    # an integer lattice, where path sums are exact: the unshrunk bound is
+    # then attained by every monotone path, and ties must still go the same way
+    lattice = [(float(i), float(j)) for i in range(7) for j in range(7)]
+    grid = [(a, b) for a in range(49) for b in (a + 1, a + 7) if b < 49 and (b - a == 7 or b % 7)]
+    cases.append((lattice, WeightedGraph(49, [(a, b, 1.0) for a, b in grid]), 1.0))
+    for k, (pts, g, shrink) in enumerate(cases):
+        rng = random.Random(k)
+        adj = g.weighted_adjacency()
+        for src in range(g.n):
+            t = rng.randrange(g.n)
+            got = dijkstra(adj, src, targets=(t,), potential=_toward(pts, t, shrink))
+            assert got[t] == dijkstra(adj, src)[t]
+
+
+def test_dijkstra_potential_steers_the_search():
+    line = [(float(i), 0.0) for i in range(21)]
+    adj = WeightedGraph(21, [(i, i + 1, 1.0) for i in range(20)]).weighted_adjacency()
+    plain = dijkstra(adj, 10, targets={12})
+    goal = dijkstra(adj, 10, targets={12}, potential=_toward(line, 12, 1.0))
+    assert plain[12] == goal[12] == 2.0
+    # the plain search also settles the vertices behind the source
+    assert plain[8] == 2.0 and math.isinf(goal[8])
+
+
+def test_dijkstra_potential_reopens_improved_vertices():
+    # s=0, a=1, b=2, c=3, t=4; the bound at a is tight but not consistent,
+    # so c is first settled through b at 4 and later improved through a
+    adj = WeightedGraph(5, [(0, 1, 1.0), (0, 2, 1.0), (1, 3, 1.0), (2, 3, 3.0), (3, 4, 3.0)]).weighted_adjacency()
+    bound = [0.0, 4.0, 0.0, 0.0, 0.0]
+    assert dijkstra(adj, 0, targets={4}, potential=bound.__getitem__)[4] == 5.0
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{}, {"targets": {1, 2}}, {"targets": set()}, {"targets": {2}, "cutoff": 5.0}]
+)
+def test_dijkstra_potential_needs_one_target_and_no_cutoff(kwargs):
+    adj = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)]).weighted_adjacency()
+    with pytest.raises(ValueError, match="potential"):
+        dijkstra(adj, 0, potential=lambda v: 0.0, **kwargs)

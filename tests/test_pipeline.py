@@ -319,6 +319,22 @@ def test_golden_output_without_asserts():
     assert got == {mode: want for mode, (_, want) in GOLDEN.items()}
 
 
+def test_invariant_checks_run_without_asserts():
+    script = (
+        "from test_clustering import make_cg\n"
+        "from lightspan.clustering import _State\n"
+        "from lightspan.hierarchy import InvariantViolation\n"
+        "state = _State(make_cg([0.0, 0.0], [(0, 1, 1.0)], []), 0.1, False)\n"
+        "xid = state.new_part('Step1')\n"
+        "state.assign(0, xid)\n"
+        "try:\n"
+        "    state.assign(0, xid)\n"
+        "except InvariantViolation as exc:\n"
+        "    print(__debug__, exc)\n"
+    )
+    assert _python("-O", "-c", script).strip() == "False node 0 grouped twice"
+
+
 # ---------------------------------------------------------------------------
 # geometric modes
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import weighted_graph
+from conftest import point_graph, weighted_graph
 from lightspan.graphs import WeightedGraph, build_mst
 from lightspan.pipeline import PipelineConfig, light_spanner_general
 from lightspan.verify import (
@@ -122,6 +122,30 @@ def test_measure_stretch_equals_full_search_oracle():
         demands = None if seed % 4 == 0 else sorted(rng.sample(range(g.m), rng.randrange(1, g.m + 1)))
         got = measure_stretch(g, kept, edge_ids=demands)
         assert got == oracles.full_search_stretch(g.n, g.edges, kept, demands)
+
+
+def test_measure_stretch_with_lower_bound_equals_full_search_oracle():
+    # per-demand A* searches over sampled point pairs must give the very
+    # floats one full search per lower endpoint gives
+    for seed in range(16):
+        rng = random.Random(seed)
+        n = rng.randrange(5, 60)
+        if seed % 4 == 3:
+            # collinear points: equal-length detours everywhere
+            pts = [(0.1 * i, 0.0) for i in range(n)]
+        else:
+            pts = [(rng.random(), rng.random()) for _ in range(n)]
+        g = point_graph(pts, rng.randrange(n, min(3 * n, n * (n - 1) // 2)), seed)
+        kept = sorted(set(build_mst(g)) | set(rng.sample(range(g.m), rng.randrange(0, g.m))))
+        demands = sorted(rng.sample(range(g.m), rng.randrange(1, min(g.m, 2 * n) + 1)))
+        got = measure_stretch(
+            g,
+            kept,
+            edge_ids=demands,
+            lower_bound=lambda v, t: math.dist(pts[v], pts[t]) * (1 - 1e-9),
+        )
+        assert got == oracles.full_search_stretch(g.n, g.edges, kept, demands)
+        assert got == measure_stretch(g, kept, edge_ids=demands)
 
 
 # ---------------------------------------------------------------------------
