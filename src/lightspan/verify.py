@@ -4,9 +4,9 @@ Everything here is independent of the construction path.  Stretch is
 measured with exact Dijkstra runs over the candidate subgraph (plain
 Python, each search stopping once its source's demanded endpoints are
 settled, or one A* search per demand when the caller supplies a distance
-lower bound, or scipy in source blocks for large demand sets), the greedy
-baseline re-derives a spanner from scratch, and check_hierarchy replays a
-recorded trace against the potential bookkeeping rules.
+lower bound), the greedy baseline re-derives a spanner from scratch, and
+check_hierarchy replays a recorded trace against the potential
+bookkeeping rules.
 """
 
 from __future__ import annotations
@@ -70,53 +70,6 @@ def measure_stretch(
             ratio = d / w
             if ratio > best or (ratio == best and eid < witness):
                 best, witness = ratio, eid
-    if witness < 0:
-        return 1.0, -1
-    return max(best, 1.0), witness
-
-
-def batched_stretch(
-    g: WeightedGraph, h_edge_ids: list[int], demand_ids: list[int]
-) -> tuple[float, int]:
-    """Same contract as measure_stretch over the given demand edges.
-
-    Runs scipy's Dijkstra in source blocks; used above the verification cap
-    where one pure-Python search per source is too slow.
-    """
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import dijkstra as cs_dijkstra
-
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    for i in h_edge_ids:
-        u, v, w = g.edges[i]
-        rows.extend((u, v))
-        cols.extend((v, u))
-        vals.extend((w, w))
-    mat = csr_matrix((vals, (rows, cols)), shape=(g.n, g.n))
-    by_src: dict[int, list[int]] = {}
-    for eid in demand_ids:
-        u, v, _ = g.edges[eid]
-        by_src.setdefault(min(u, v), []).append(eid)
-    sources = sorted(by_src)
-    best = 0.0
-    witness = -1
-    block = 256
-    for lo in range(0, len(sources), block):
-        chunk = sources[lo : lo + block]
-        dist = cs_dijkstra(mat, directed=False, indices=chunk)
-        for row, src in zip(dist, chunk):
-            for eid in by_src[src]:
-                u, v, w = g.edges[eid]
-                other = v if u == src else u
-                d = float(row[other])
-                if math.isinf(d):
-                    raise NotSpanning(f"no path between {u} and {v} in the candidate spanner")
-                ratio = d / w
-                if ratio > best or (ratio == best and eid < witness):
-                    best = ratio
-                    witness = eid
     if witness < 0:
         return 1.0, -1
     return max(best, 1.0), witness

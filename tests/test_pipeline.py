@@ -223,7 +223,7 @@ def _digest(res) -> str:
 
 
 GOLDEN = {
-    # verify_cap below n routes certification through the sampled scipy path
+    # verify_cap below n routes certification through the sampled path
     "general": (
         lambda: light_spanner_general(
             random_connected_graph(300, 1200, seed=1),
@@ -427,19 +427,25 @@ def test_udg_candidates_follow_offset_order(d, side):
         assert list(near(u)) == want
 
 
-def test_geometric_builds_load_neither_numpy_nor_scipy():
+def test_builds_load_neither_numpy_nor_scipy():
     # numpy and scipy would add tens of MB to the peak memory of every
-    # geometric build; small ones stay in pure Python, sampled
-    # certification (n above verify_cap) included
+    # build; every mode stays in pure Python, sampled certification (n above
+    # verify_cap) included.  The minor-free input is a grid because the
+    # planar generator's Delaunay does need scipy.
     script = (
         "import sys\n"
-        "from lightspan.generate import uniform_points\n"
-        "from lightspan.pipeline import PipelineConfig, light_spanner_geometric\n"
-        "for d, r in ((2, 0.3), (3, 0.4)):\n"
-        "    for mode in ('euclidean', 'udg'):\n"
-        "        for cap in (500, 50):\n"
+        "from lightspan.generate import grid_graph, random_connected_graph, uniform_points\n"
+        "from lightspan.pipeline import (PipelineConfig, light_spanner_general,\n"
+        "    light_spanner_geometric, light_spanner_minor_free)\n"
+        "for cap in (500, 50):\n"
+        "    for d, r in ((2, 0.3), (3, 0.4)):\n"
+        "        for mode in ('euclidean', 'udg'):\n"
         "            cfg = PipelineConfig(mode=mode, radius=r, verify_cap=cap, sample_size=100)\n"
         "            light_spanner_geometric(uniform_points(80, d, 1), cfg)\n"
+        "    cfg = PipelineConfig(mode='general', verify_cap=cap, sample_size=100)\n"
+        "    light_spanner_general(random_connected_graph(80, 240, 1), cfg)\n"
+        "    cfg = PipelineConfig(mode='minor', verify_cap=cap, sample_size=100)\n"
+        "    light_spanner_minor_free(grid_graph(8, 10, 1, jitter=0.5), cfg)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))\n"
     )
     assert _python("-c", script).strip() == "[]"

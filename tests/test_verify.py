@@ -13,7 +13,6 @@ from lightspan.pipeline import PipelineConfig, light_spanner_general
 from lightspan.verify import (
     NotSpanning,
     VerificationReport,
-    batched_stretch,
     check_hierarchy,
     greedy_spanner,
     measure_stretch,
@@ -97,17 +96,6 @@ def test_measure_stretch_floyd_warshall_n100():
     got, _ = measure_stretch(g, kept)
     want = oracles.max_stretch(g.n, g.edges, kept)
     assert math.isclose(got, want, rel_tol=1e-9)
-
-
-def test_batched_stretch_equals_oracle_route():
-    for seed in range(8):
-        g = weighted_graph(70, 260, seed)
-        rng = random.Random(seed + 1)
-        kept = sorted(set(build_mst(g)) | set(rng.sample(range(g.m), 60)))
-        demands = sorted(rng.sample(range(g.m), 90))
-        a = measure_stretch(g, kept, edge_ids=demands)
-        b = batched_stretch(g, kept, demands)
-        assert a == b
 
 
 def test_measure_stretch_equals_full_search_oracle():
