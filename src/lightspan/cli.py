@@ -50,6 +50,14 @@ CSV_COLUMNS = [
     "levels",
 ]
 
+# mode -> entry point; the geometric modes take a PointSet, the rest a graph
+_BUILDERS = {
+    "general": light_spanner_general,
+    "euclidean": light_spanner_geometric,
+    "udg": light_spanner_geometric,
+    "minor": light_spanner_minor_free,
+}
+
 
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
@@ -128,15 +136,9 @@ def cmd_build(args) -> int:
         trace = None
     else:
         cfg = _config_from_args(args, mode)
-        if mode in ("euclidean", "udg"):
-            p = parse_points(text)
-            res = light_spanner_geometric(p, cfg)
-            result_graph = WeightedGraph(p.n, res.edges)
-        else:
-            g = parse_graph(text)
-            build = light_spanner_general if mode == "general" else light_spanner_minor_free
-            res = build(g, cfg)
-            result_graph = WeightedGraph(g.n, res.edges)
+        inp = parse_points(text) if mode in ("euclidean", "udg") else parse_graph(text)
+        res = _BUILDERS[mode](inp, cfg)
+        result_graph = WeightedGraph(inp.n, res.edges)
         stats = res.stats
         trace = res.trace
 
@@ -285,11 +287,12 @@ def _sweep_run(args, value, seed: int) -> dict:
         seed=seed, strict=args.strict,
     )
     if args.mode in ("euclidean", "udg"):
-        res = light_spanner_geometric(uniform_points(n, args.d, seed), cfg)
+        inp = uniform_points(n, args.d, seed)
     elif args.mode == "minor":
-        res = light_spanner_minor_free(planar_triangulation(n, seed), cfg)
+        inp = planar_triangulation(n, seed)
     else:
-        res = light_spanner_general(random_connected_graph(n, m, seed), cfg)
+        inp = random_connected_graph(n, m, seed)
+    res = _BUILDERS[args.mode](inp, cfg)
     s = res.stats
     return {
         "mode": s["mode"],
@@ -317,7 +320,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pb = sub.add_parser("build", help="construct a spanner from an input file")
     pbs = pb.add_subparsers(dest="target", required=True)
-    for mode in ("general", "euclidean", "udg", "minor", "greedy"):
+    for mode in (*_BUILDERS, "greedy"):
         sp = pbs.add_parser(mode)
         sp.add_argument("input", help="graph or point file")
         sp.add_argument("--out", default=None, help="spanner edge list path (default stdout)")
@@ -369,7 +372,7 @@ def _build_parser() -> argparse.ArgumentParser:
     vt.set_defaults(func=cmd_verify)
 
     ps = sub.add_parser("sweep", help="batch runs, one CSV row per run")
-    ps.add_argument("--mode", choices=("general", "euclidean", "udg", "minor"), default="general")
+    ps.add_argument("--mode", choices=tuple(_BUILDERS), default="general")
     ps.add_argument("--param", choices=("n", "m", "eps", "k"), required=True)
     ps.add_argument("--values", required=True, help="comma-separated sweep values")
     ps.add_argument("--seeds", type=int, default=5, help="seeds 0..N-1 per value")

@@ -35,7 +35,6 @@ class Subgraph:
 @dataclass
 class ClusteringOutcome:
     groups: list[list[int]]
-    tree_eids: list[list[int]]
     class_eids: list[list[int]]
     tags: list[str]
     adm: list[float]
@@ -142,10 +141,8 @@ class _State:
             self.assign(v, xid)
         self.parts[xid].tree_eids.extend(eids[lo:hi])
 
-    def farthest(
-        self, src: int, members: set[int]
-    ) -> tuple[int, float, dict[int, float], dict[int, tuple[int, int]]]:
-        """Deepest node by augmented distance within the ungrouped component,
+    def farthest(self, src: int) -> tuple[int, float, dict[int, float], dict[int, tuple[int, int]]]:
+        """Deepest node by augmented distance in src's ungrouped component,
         with each reached node's distance and (parent, tree edge id)."""
         dist = {src: self.w[src]}
         up: dict[int, tuple[int, int]] = {}
@@ -155,7 +152,7 @@ class _State:
             v = stack.pop()
             dv = dist[v]
             for u, wt, tid in self.alive_tree_neighbors(v):
-                if u in members and u not in dist:
+                if u not in dist:
                     d = dv + wt + self.w[u]
                     dist[u] = d
                     up[u] = (v, tid)
@@ -165,10 +162,10 @@ class _State:
         return best, best_d, dist, up
 
     def diameter_path(self, nodes: list[int]) -> tuple[list[int], list[float], list[int], float]:
-        """Augmented diameter path: node list, prefix sums, edge ids, Adm."""
-        members = set(nodes)
-        a, _, _, _ = self.farthest(min(nodes), members)
-        b, adm, dist, up = self.farthest(a, members)
+        """Augmented diameter path of a whole ungrouped component: node list,
+        prefix sums, edge ids, Adm."""
+        a, _, _, _ = self.farthest(min(nodes))
+        b, adm, dist, up = self.farthest(a)
         path = [b]
         eids: list[int] = []
         while path[-1] != a:
@@ -630,7 +627,6 @@ def cluster_level(cg: ClusterGraph, eps: float, strict: bool = False) -> Cluster
 
     return ClusteringOutcome(
         groups=[x.nodes for x in state.parts],
-        tree_eids=[x.tree_eids for x in state.parts],
         class_eids=[x.class_eids for x in state.parts],
         tags=[x.tag for x in state.parts],
         adm=adm,

@@ -15,7 +15,7 @@ class DisconnectedGraph(ValueError):
 
 
 class DegeneratePoints(ValueError):
-    """Raised on duplicate points or an unusable dimension."""
+    """Raised on duplicate points, a non-finite coordinate or an unusable dimension."""
 
 
 class FormatError(ValueError):
@@ -84,6 +84,8 @@ class PointSet:
         for i, p in enumerate(self.points):
             if len(p) != self.d:
                 raise DegeneratePoints(f"point {i} has {len(p)} coordinates, expected {self.d}")
+            if not all(map(math.isfinite, p)):
+                raise DegeneratePoints(f"point {i} has a non-finite coordinate: {p}")
             if p in seen:
                 raise DegeneratePoints(f"duplicate point at index {i}: {p}")
             seen.add(p)

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .hierarchy import InvariantViolation
+
 
 @dataclass
 class LevelSchedule:
@@ -86,7 +88,7 @@ def classify_edges(g, mst_edge_ids: list[int], w_bar: float, eps: float, psi: fl
         if placed is None:
             i, ok = _locate_level(w, w_bar * pow_psi[mu], eps, psi)
             if not ok:
-                raise AssertionError(f"edge weight {w} escaped every class (w_bar={w_bar}, eps={eps}, psi={psi})")
+                raise InvariantViolation(f"edge weight {w} escaped every class (w_bar={w_bar}, eps={eps}, psi={psi})")
             placed = (mu, i)
         sigma, i = placed
         per_sigma.setdefault(sigma, {}).setdefault(i, []).append(eid)

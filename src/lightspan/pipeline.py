@@ -18,7 +18,7 @@ import random
 import time
 from dataclasses import dataclass
 
-from .clustering import cluster_level
+from .clustering import STRICT_EPS, cluster_level
 from .graphs import (
     PointSet,
     WeightedGraph,
@@ -38,7 +38,6 @@ from .verify import measure_stretch as batched_stretch
 S_GENERAL = s_general(DEFAULT_BETA)
 S_GEOM = s_geom(DEFAULT_BETA)
 S_MINOR = 0.0
-STRICT_EPS_CAP = 1.0 / 256.0
 
 
 def stretch_rho(s_ssa: float) -> float:
@@ -87,7 +86,7 @@ class PipelineConfig:
         if self.eps_internal is not None:
             return self.eps_internal
         if self.strict:
-            return min(self.eps_user / self.rho(), STRICT_EPS_CAP)
+            return min(self.eps_user / self.rho(), STRICT_EPS)
         return self.eps_user
 
     def psi_value(self) -> float:
@@ -172,9 +171,7 @@ def build_hi(cg, outcome, backend, cfg: PipelineConfig, ssa_clock: list[float]) 
 
 
 def _class_spanner(g, sub, schedule, sigma, cfg, backend, ssa_clock, level_rows, trace_sigma):
-    cells = {i: ids for i, ids in schedule.per_sigma[sigma].items() if ids}
-    if not cells:
-        return set()
+    cells = schedule.per_sigma[sigma]
     max_i = max(cells)
     trace_levels = None if trace_sigma is None else trace_sigma["levels"]
     lvl = build_level1(sub, schedule.level_threshold(sigma, 0))
@@ -237,9 +234,6 @@ def _transform(g: WeightedGraph, cfg: PipelineConfig, backend, timings: dict):
     timings["mst"] = time.perf_counter() - t0
     mst_w = sum(g.edges[i][2] for i in mst_ids)
     if mst_w <= 0.0 or g.m == 0:
-        timings.setdefault("leveling", 0.0)
-        timings.setdefault("hierarchy", 0.0)
-        timings.setdefault("ssa", 0.0)
         return set(range(g.m)), mst_ids, mst_w, [], None
 
     eps = cfg.eps()
@@ -341,17 +335,27 @@ def _result_stats(cfg, g, h_ids, mst_w, stretch, witness, level_rows, timings, s
 # mode drivers
 
 
+def _run(g, cfg, backend, certify, timings, scale=1.0, extra=None) -> SpannerResult:
+    """Shared driver tail: transform, certify(h_ids, mst_ids), stats, result.
+
+    Drivers pass certify as a lambda that looks the certifier up by name at
+    call time, so a hook swapped onto the module attribute still sees it.
+    """
+    h_ids, mst_ids, mst_w, level_rows, trace = _transform(g, cfg, backend, timings)
+    t0 = time.perf_counter()
+    stretch, witness = certify(h_ids, mst_ids)
+    timings["verify"] = time.perf_counter() - t0
+    stats = _result_stats(cfg, g, h_ids, mst_w, stretch, witness, level_rows, timings, scale, extra)
+    kept = sorted(h_ids)
+    edges = [(u, v, w * scale) for u, v, w in (g.edges[i] for i in kept)]
+    return SpannerResult(edges=edges, edge_ids=kept, run_graph=g, stats=stats, trace=trace)
+
+
 def _graph_driver(g: WeightedGraph, cfg: PipelineConfig, backend) -> SpannerResult:
     g.validate()
     gn, scale = normalize(dedup_parallel(g))
-    timings: dict = {}
-    h_ids, mst_ids, mst_w, level_rows, trace = _transform(gn, cfg, backend, timings)
-    t0 = time.perf_counter()
-    stretch, witness = _certify(gn, h_ids, mst_ids, cfg)
-    timings["verify"] = time.perf_counter() - t0
-    stats = _result_stats(cfg, gn, h_ids, mst_w, stretch, witness, level_rows, timings, scale)
-    edges = [(gn.edges[i][0], gn.edges[i][1], gn.edges[i][2] * scale) for i in sorted(h_ids)]
-    return SpannerResult(edges=edges, edge_ids=sorted(h_ids), run_graph=gn, stats=stats, trace=trace)
+    certify = lambda h_ids, mst_ids: _certify(gn, h_ids, mst_ids, cfg)  # noqa: E731
+    return _run(gn, cfg, backend, certify, {}, scale)
 
 
 def light_spanner_general(g: WeightedGraph, cfg: PipelineConfig) -> SpannerResult:
@@ -377,41 +381,18 @@ def light_spanner_geometric(p: PointSet, cfg: PipelineConfig) -> SpannerResult:
     base = _yao_base(p, cfg)
     base_time = time.perf_counter() - t0
 
-    backend = lambda inp: ssa_geom(inp, p.d, _RepPositions(p, inp.reps))  # noqa: E731
-    timings: dict = {"base": base_time}
-    h_ids, _, mst_w, level_rows, trace = _transform(base, cfg, backend, timings)
-    t0 = time.perf_counter()
-    stretch, witness = _certify_geometric(p, base, h_ids, cfg)
-    timings["verify"] = time.perf_counter() - t0
-    stats = _result_stats(
-        cfg,
-        base,
-        h_ids,
-        mst_w,
-        stretch,
-        witness,
-        level_rows,
-        timings,
-        extra={"eps_base": cfg.eps_base(), "base_edges": base.m},
-    )
-    edges = [base.edges[i] for i in sorted(h_ids)]
-    return SpannerResult(
-        edges=edges, edge_ids=sorted(h_ids), run_graph=base, stats=stats, trace=trace
-    )
+    backend = lambda inp: ssa_geom(inp, p.d, _rep_positions(p, inp.reps))  # noqa: E731
+    certify = lambda h_ids, _: _certify_geometric(p, base, h_ids, cfg)  # noqa: E731
+    extra = {"eps_base": cfg.eps_base(), "base_edges": base.m}
+    return _run(base, cfg, backend, certify, {"base": base_time}, extra=extra)
 
 
-class _RepPositions:
+def _rep_positions(p: PointSet, reps: dict[int, int]) -> dict[int, tuple[float, ...]]:
     """Node id -> representative coordinates, insisting reps are original."""
-
-    def __init__(self, p: PointSet, reps: dict[int, int]):
-        self._p = p
-        self._reps = reps
-
-    def __getitem__(self, node: int):
-        rep = self._reps[node]
-        if rep >= self._p.n:
+    for node, rep in reps.items():
+        if rep >= p.n:
             raise ValueError(f"node {node} has a virtual representative {rep}")
-        return self._p.points[rep]
+    return {node: p.points[rep] for node, rep in reps.items()}
 
 
 # ---------------------------------------------------------------------------

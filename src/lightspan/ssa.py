@@ -2,10 +2,10 @@
 
 A backend receives the heavy nodes of one level with the class edges between
 them (all weights within a (1+eps) factor of the level scale) and keeps a
-subset of at most chi * |nodes| edges, declaring the constant that enters
-the level's stretch bound.  Three instantiations: Euclidean cones, general
-graphs via an unweighted spanner on the node graph, and the minor-free
-identity.
+subset of at most chi * |nodes| edges.  The backends declare no stretch
+constant: the pipeline owns s(beta).  Three instantiations: Euclidean
+cones, general graphs via an unweighted spanner on the node graph, and the
+minor-free identity.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .hierarchy import POTENTIAL_RATIO, InvariantViolation
 DEFAULT_BETA = 2 * POTENTIAL_RATIO
 
 
-# the stretch constants s(beta) that ssa_general and ssa_geom declare
+# s(beta) of ssa_general and ssa_geom; only the pipeline's S_* constants read them
 def s_general(beta: float) -> float:
     return 2.0 * beta + 1.0
 
@@ -67,7 +67,6 @@ class SsaInput:
 class SsaOutput:
     pruned: list[int]  # indices into the input edge list
     sparsity: float  # chi; ssa_geom's cone count is an exact int that can exceed any float
-    stretch_constant: float  # s(beta)
 
     def assert_sparse(self, n_nodes: int) -> None:
         if len(self.pruned) - 1e-9 > self.sparsity * max(1, n_nodes):
@@ -95,21 +94,20 @@ def _cone_index_2d(dx: float, dy: float, eps: float, tau: int) -> int:
 def cone_selector(d: int, theta: float):
     """(cone count, vec -> cone id) with same-cone angular spread <= theta.
 
-    At d >= 3 the id is the sign pattern of vec plus, for j < d - 1, the
-    cell min(floor(steps |x_j| / |x|_1), steps - 1): the cell of vec's
-    radial projection x / |x|_1 in a barycentric grid on a face of the
-    cross-polytope, mixed-radix encoded, so there are 2^d steps^(d-1)
-    cones.  Two vectors in one cell project to face points that differ by
+    At d = 2 the cones are angular sectors.  Otherwise the id is the sign
+    pattern of vec plus, for j < d - 1, the cell min(floor(steps |x_j| /
+    |x|_1), steps - 1): the cell of vec's radial projection x / |x|_1 in a
+    barycentric grid on a face of the cross-polytope, mixed-radix encoded,
+    so there are 2^d steps^(d-1) cones.  Two vectors in one cell project to face points that differ by
     at most 1/steps in each of the first d - 1 coordinates and so by at
     most (d - 1)/steps in the last, hence lie within sqrt(d(d - 1))/steps
     of each other.  Face points have Euclidean norm >= 1/sqrt(d), so by
     Dunkl-Williams their unit vectors lie within chord d sqrt(d - 1)/steps,
     and the angle is at most pi/2 times the chord.  Hence
     steps = ceil(pi d sqrt(d - 1) / (2 theta)) keeps every cone within
-    theta.
+    theta.  At d = 1 steps is 0 and only the sign is left: two cones, id 1
+    for x < 0 and 0 otherwise, -0.0 included.
     """
-    if d == 1:
-        return 2, lambda vec: 0 if vec[0] >= 0 else 1
     if d == 2:
         tau = _cone_count_2d(theta)
         return tau, lambda vec: _cone_index_2d(vec[0], vec[1], theta, tau)
@@ -173,11 +171,7 @@ def ssa_geom(inp: SsaInput, d: int, positions) -> SsaOutput:
         for cand in best.values():
             keep.add(cand[3])
 
-    out = SsaOutput(
-        pruned=sorted(keep),
-        sparsity=tau,
-        stretch_constant=s_geom(inp.beta),
-    )
+    out = SsaOutput(pruned=sorted(keep), sparsity=tau)
     out.assert_sparse(len(inp.nodes))
     return out
 
@@ -193,7 +187,6 @@ def ssa_general(inp: SsaInput, k: int) -> SsaOutput:
     out = SsaOutput(
         pruned=sorted(kept),
         sparsity=n ** (1.0 / k) * (1.0 if len(inp.nodes) <= GREEDY_NODE_CAP else 4.0 * k) + 2.0,
-        stretch_constant=s_general(inp.beta),
     )
     out.assert_sparse(len(inp.nodes))
     return out
@@ -202,11 +195,7 @@ def ssa_general(inp: SsaInput, k: int) -> SsaOutput:
 def ssa_minor(inp: SsaInput) -> SsaOutput:
     """Identity: minor-free node graphs are already sparse, keep everything."""
     n = max(1, len(inp.nodes))
-    out = SsaOutput(
-        pruned=list(range(len(inp.edges))),
-        sparsity=len(inp.edges) / n,
-        stretch_constant=0.0,
-    )
+    out = SsaOutput(pruned=list(range(len(inp.edges))), sparsity=len(inp.edges) / n)
     out.assert_sparse(len(inp.nodes))
     return out
 

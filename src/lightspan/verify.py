@@ -45,11 +45,7 @@ def measure_stretch(
     demanded endpoints, as in a sparse sample of pairs.
     """
     demands = list(range(g.m)) if edge_ids is None else sorted(edge_ids)
-    adj: list[list[tuple[int, float]]] = [[] for _ in range(g.n)]
-    for i in h_edge_ids:
-        u, v, w = g.edges[i]
-        adj[u].append((v, w))
-        adj[v].append((u, w))
+    adj = WeightedGraph(g.n, [g.edges[i] for i in h_edge_ids]).weighted_adjacency()
     by_src: dict[int, list[int]] = {}
     for eid in demands:
         u, v, _ = g.edges[eid]
@@ -196,21 +192,12 @@ def _check_prefix_diameter(report, trace, sigma, levels, edges, n_ext) -> None:
     The edge set grows with the level: subdivided MST, light edges, then
     every edge kept at the class's earlier levels.
     """
-    base: list[tuple[int, int, float]] = [tuple(e) for e in trace["sub_tree_edges"]]
-    for eid in trace["light_ids"]:
-        u, v, w = edges[eid]
-        base.append((u, v, w))
+    base = [tuple(e) for e in trace["sub_tree_edges"]]
+    base += [edges[eid] for eid in trace["light_ids"]]
 
     kept_before: list[int] = []
     for row in levels:
-        adj: list[list[tuple[int, float]]] = [[] for _ in range(n_ext)]
-        for u, v, w in base:
-            adj[u].append((v, w))
-            adj[v].append((u, w))
-        for eid in kept_before:
-            u, v, w = edges[eid]
-            adj[u].append((v, w))
-            adj[v].append((u, w))
+        adj = WeightedGraph(n_ext, base + [edges[eid] for eid in kept_before]).weighted_adjacency()
 
         worst = None
         for cid, members in enumerate(row["members"]):

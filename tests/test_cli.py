@@ -195,6 +195,15 @@ def test_malformed_input_reports_line(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["euclidean", "udg"])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_coordinates_are_usage_errors(tmp_path, capsys, mode, value):
+    p = tmp_path / "p.points"
+    p.write_text(f"3 2\n0 0\n{value} 1\n1 1\n")
+    assert run("build", mode, str(p), "--out", "-") == 2
+    assert "non-finite coordinate" in capsys.readouterr().err
+
+
 def test_bad_parameters_are_usage_errors(tmp_path):
     g = tmp_path / "g.graph"
     g.write_text("2 1\n0 1 1.0\n")

@@ -93,6 +93,14 @@ def test_points_validate_rejects_duplicates():
         PointSet(2, [(0.0, 0.0), (0.0, 0.0)]).validate()
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_points_validate_rejects_non_finite_coordinates(bad):
+    with pytest.raises(DegeneratePoints, match="non-finite"):
+        PointSet(2, [(0.0, 0.0), (bad, 1.0)]).validate()
+    with pytest.raises(DegeneratePoints, match="non-finite"):
+        parse_points(f"2 2\n0 0\n1 {bad}\n")
+
+
 def test_point_distance_matches_mathdist():
     ps = PointSet(3, [(0.0, 1.0, 2.0), (3.0, 5.0, 7.0)])
     assert ps.distance(0, 1) == math.dist(ps.points[0], ps.points[1])

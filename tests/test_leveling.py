@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import weighted_graph
+from lightspan import leveling
 from lightspan.graphs import WeightedGraph, build_mst
+from lightspan.hierarchy import InvariantViolation
 from lightspan.leveling import classify_edges
 from lightspan.pipeline import PipelineConfig, light_spanner_general
 
@@ -21,6 +23,14 @@ def test_light_cut():
     sch = classify_edges(g, [], w_bar=1.0, eps=0.25, psi=0.25)
     assert sch.light_edges == [0, 1]
     assert set(sch.assignment) == {2}
+
+
+def test_edge_that_escapes_every_class_is_an_invariant_violation(monkeypatch):
+    # not an assert, so the check also runs under python -O
+    monkeypatch.setattr(leveling, "_locate_level", lambda w, base, eps, psi: (1, False))
+    g = WeightedGraph(2, [(0, 1, 10.0)])
+    with pytest.raises(InvariantViolation, match="escaped every class"):
+        classify_edges(g, [], w_bar=1.0, eps=0.25, psi=0.25)
 
 
 def _window_contains(sch, sigma, i, w):

@@ -225,76 +225,100 @@ def _digest(res) -> str:
 GOLDEN = {
     # verify_cap below n routes certification through the sampled path
     "general": (
-        lambda: light_spanner_general(
+        lambda trace: light_spanner_general(
             random_connected_graph(300, 1200, seed=1),
-            PipelineConfig(mode="general", eps_user=0.25, verify_cap=100, sample_size=200),
+            PipelineConfig(
+                mode="general", eps_user=0.25, verify_cap=100, sample_size=200, trace=trace
+            ),
         ),
         "426ed5a35d8a266d032e9462f43401627502e6a4775d0b357f76f6a3cb882668",
     ),
     "minor": (
-        lambda: light_spanner_minor_free(
-            planar_triangulation(300, seed=2), PipelineConfig(mode="minor", eps_user=0.25)
+        lambda trace: light_spanner_minor_free(
+            planar_triangulation(300, seed=2),
+            PipelineConfig(mode="minor", eps_user=0.25, trace=trace),
         ),
         "7031b1d2ecde3a2f2d19633fac052f50e8f842aa6752dc4fef8210d7b5f1709f",
     ),
     "euclidean": (
-        lambda: light_spanner_geometric(
-            uniform_points(150, 2, seed=3), PipelineConfig(mode="euclidean", eps_user=0.25)
+        lambda trace: light_spanner_geometric(
+            uniform_points(150, 2, seed=3),
+            PipelineConfig(mode="euclidean", eps_user=0.25, trace=trace),
         ),
         "59734403d14f28f9889a70dd32ac716e1161011e00b7664375041ec404fb768c",
     ),
     "udg": (
-        lambda: light_spanner_geometric(
+        lambda trace: light_spanner_geometric(
             uniform_points(300, 2, seed=4),
-            PipelineConfig(mode="udg", radius=0.15, eps_user=0.25),
+            PipelineConfig(mode="udg", radius=0.15, eps_user=0.25, trace=trace),
         ),
         "faf7577d828836727264094c6fa8e187132e436fb8f8242eef2474c4d368803b",
     ),
     # geometric certification above verify_cap: seeded pair samples
     "euclidean-sampled": (
-        lambda: light_spanner_geometric(
+        lambda trace: light_spanner_geometric(
             uniform_points(600, 2, 7),
-            PipelineConfig(mode="euclidean", eps_user=0.25, verify_cap=100, sample_size=200),
+            PipelineConfig(
+                mode="euclidean", eps_user=0.25, verify_cap=100, sample_size=200, trace=trace
+            ),
         ),
         "e1c04648be33c34ef57c3b63e7f5d81b9ee14fb094501d10e4d2b43dab29b645",
     ),
     "udg-sampled": (
-        lambda: light_spanner_geometric(
+        lambda trace: light_spanner_geometric(
             uniform_points(600, 2, 7),
             PipelineConfig(
-                mode="udg", radius=0.1, eps_user=0.25, verify_cap=100, sample_size=200
+                mode="udg",
+                radius=0.1,
+                eps_user=0.25,
+                verify_cap=100,
+                sample_size=200,
+                trace=trace,
             ),
         ),
         "7833200d20d7c14f706b55edc6f644f55da3ecca3044659fe64f3cb94b3de4b0",
     ),
     # unit-disk grids in other dimensions
     "udg-1d": (
-        lambda: light_spanner_geometric(
-            uniform_points(200, 1, 7), PipelineConfig(mode="udg", radius=0.05, eps_user=0.25)
+        lambda trace: light_spanner_geometric(
+            uniform_points(200, 1, 7),
+            PipelineConfig(mode="udg", radius=0.05, eps_user=0.25, trace=trace),
         ),
         "a56a60b770d40a0609291bff8dc729025864a6b921a3552725870f55249e524d",
     ),
     "udg-3d": (
-        lambda: light_spanner_geometric(
-            uniform_points(150, 3, 7), PipelineConfig(mode="udg", radius=0.35, eps_user=0.25)
+        lambda trace: light_spanner_geometric(
+            uniform_points(150, 3, 7),
+            PipelineConfig(mode="udg", radius=0.35, eps_user=0.25, trace=trace),
         ),
         "47734564aa74b4d565b8ee4d77c2dd98fd94852f8c6ff2d9666ab7e1d54849e6",
     ),
     # the d >= 3 cone rule: udg-3d keeps every in-range pair under any rule,
     # so only a complete-metric Yao base pins it
     "euclidean-3d": (
-        lambda: light_spanner_geometric(
-            uniform_points(100, 3, 2), PipelineConfig(mode="euclidean", eps_user=0.25)
+        lambda trace: light_spanner_geometric(
+            uniform_points(100, 3, 2),
+            PipelineConfig(mode="euclidean", eps_user=0.25, trace=trace),
         ),
         "b7fbc9aeec169542fb3dde43eb890b9cd04a0ad7b214296c081232e7a34c61df",
     ),
 }
 
 
-@pytest.mark.parametrize("mode", sorted(GOLDEN))
-def test_golden_output(mode):
+@pytest.mark.parametrize(
+    "mode, trace",
+    [
+        pytest.param(mode, trace, id=mode + ("-traced" if trace else ""))
+        for trace in (False, True)
+        for mode in sorted(GOLDEN)
+    ],
+)
+def test_golden_output(mode, trace):
+    # a traced build records itself and must never steer the output
     build, want = GOLDEN[mode]
-    assert _digest(build()) == want
+    res = build(trace)
+    assert (res.trace is not None) == trace
+    assert _digest(res) == want
 
 
 def _python(*argv: str) -> str:
@@ -312,7 +336,7 @@ def test_golden_output_without_asserts():
     script = (
         "import json\n"
         "from test_pipeline import GOLDEN, _digest\n"
-        "print(json.dumps([__debug__, {m: _digest(b()) for m, (b, _) in GOLDEN.items()}]))\n"
+        "print(json.dumps([__debug__, {m: _digest(b(False)) for m, (b, _) in GOLDEN.items()}]))\n"
     )
     debug, got = json.loads(_python("-O", "-c", script))
     assert debug is False

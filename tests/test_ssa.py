@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import oracles
 from lightspan.ssa import (
-    DEFAULT_BETA,
     SsaInput,
     _cone_count_2d,
     _cone_index_2d,
@@ -126,6 +125,13 @@ def test_cone_selector_takes_strict_eps_and_high_dimension():
         assert cone_of(tuple(7 * c for c in vec)) == cone_of(vec)
 
 
+def test_cone_selector_at_d1_is_the_sign():
+    # the general rule with steps = 0: two cones, split at x < 0
+    count, cone_of = cone_selector(1, 0.1)
+    assert count == 2
+    assert [cone_of((x,)) for x in (3.0, 0.0, -0.0, -1e-300, -2.0)] == [0, 0, 0, 1, 1]
+
+
 @pytest.mark.parametrize(
     "d, samples", [(1, 200), (2, 600), (3, 4000), (4, 20000), (6, 50000)]
 )
@@ -225,11 +231,3 @@ def test_ssa_minor_is_identity():
     inp = _level_input([0, 1, 2], edges, scale=1.0)
     out = ssa_minor(inp)
     assert out.pruned == [0, 1]
-    assert out.stretch_constant == 0.0
-
-
-def test_stretch_constants():
-    inp = _level_input([0, 1], [(0, 1, 1.0, 0)], scale=1.0, beta=DEFAULT_BETA)
-    assert ssa_general(inp, 2).stretch_constant == 2.0 * DEFAULT_BETA + 1.0
-    pos = {0: (0.0, 0.0), 1: (1.0, 0.0)}
-    assert ssa_geom(inp, 2, pos).stretch_constant == 2.0 * (19.0 * DEFAULT_BETA + 14.0)
