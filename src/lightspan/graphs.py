@@ -215,10 +215,16 @@ def dedup_parallel(g: WeightedGraph) -> WeightedGraph:
 
 
 def normalize(g: WeightedGraph) -> tuple[WeightedGraph, float]:
-    """Scale weights so the minimum is exactly 1; returns (graph, scale factor)."""
+    """Scale weights so the minimum is exactly 1; returns (graph, scale factor).
+
+    Raises ValueError when the max/min weight ratio overflows a float.
+    """
     if not g.edges:
         return g, 1.0
     scale = min(w for _, _, w in g.edges)
+    top = max(w for _, _, w in g.edges)
+    if math.isinf(top / scale):
+        raise ValueError(f"max/min edge weight ratio exceeds the float range ({top!r} / {scale!r})")
     edges = [(u, v, w / scale) for u, v, w in g.edges]
     return WeightedGraph(g.n, edges), scale
 
@@ -272,21 +278,43 @@ class SubdividedMst:
         return len(self.adj)
 
 
+# Most vertices a subdivided MST may have.  A build holds about 630-660 bytes
+# of peak RSS per subdivided vertex (CPython 3.11, 64-bit: a 2-vertex graph
+# cut into 0.5M and 2M pieces), so this caps that part near 0.65 GB.  Strict
+# general n=200, m=800 needs about 248k vertices.
+SUBDIVISION_VERTEX_BUDGET = 1_000_000
+
+
 def subdivide_mst(g: WeightedGraph, mst_edge_ids: list[int], w_bar: float) -> SubdividedMst:
-    """Split each MST edge of weight > w_bar into ceil(w/w_bar) equal pieces; root at 0."""
+    """Split each MST edge of weight > w_bar into ceil(w/w_bar) equal pieces; root at 0.
+
+    Raises ValueError, before allocating the tree, when the subdivided tree
+    would have more than SUBDIVISION_VERTEX_BUDGET vertices.
+    """
     if not (w_bar > 0):
         raise ValueError(f"w_bar must be positive, got {w_bar}")
-    tree_edges: list[tuple[int, int, float]] = []
-    next_id = g.n
+    counts: list[int] = []
     for i in mst_edge_ids:
-        u, v, w = g.edges[i]
+        w = g.edges[i][2]
         if w <= w_bar:
             pieces = 1
         else:
-            pieces = math.ceil(w / w_bar)
+            # capped so that an overflowing w / w_bar still counts; a capped
+            # edge alone exceeds the budget
+            pieces = math.ceil(min(w / w_bar, SUBDIVISION_VERTEX_BUDGET + 1))
             # float ceil can land one short when w/w_bar is just above an integer
             if w / pieces > w_bar:
                 pieces += 1
+        counts.append(pieces)
+    if g.n + sum(counts) - len(counts) > SUBDIVISION_VERTEX_BUDGET:
+        raise ValueError(
+            f"the subdivided MST would have more than {SUBDIVISION_VERTEX_BUDGET} vertices "
+            f"(pieces of weight {w_bar!r}); use a larger epsilon"
+        )
+    tree_edges: list[tuple[int, int, float]] = []
+    next_id = g.n
+    for i, pieces in zip(mst_edge_ids, counts):
+        u, v, w = g.edges[i]
         sub_w = w / pieces
         prev = u
         for x in range(next_id, next_id + pieces - 1):

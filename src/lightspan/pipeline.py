@@ -29,7 +29,17 @@ from .graphs import (
 )
 from .hierarchy import POTENTIAL_RATIO, build_cluster_graph, build_level1, contract_level
 from .leveling import classify_edges
-from .ssa import DEFAULT_BETA, SsaInput, cone_selector, s_general, s_geom, ssa_general, ssa_geom, ssa_minor
+from .ssa import (
+    DEFAULT_BETA,
+    SsaInput,
+    cone_reach_2d,
+    cone_selector,
+    s_general,
+    s_geom,
+    ssa_general,
+    ssa_geom,
+    ssa_minor,
+)
 
 # bench/tracing.py times sampled certification through a hook on
 # pipeline.batched_stretch, so measure_stretch keeps that name as an alias
@@ -450,20 +460,61 @@ def _yao_base(p: PointSet, cfg: PipelineConfig) -> WeightedGraph:
     """Cone graph: per point and cone, the edge to the nearest candidate.
 
     In udg mode the candidates are the in-range points, which makes this
-    the unit-disk cone graph.
+    the unit-disk cone graph.  The nearest candidate of a cone is its (dist,
+    v) minimum, so each point visits its candidates in ascending (dist, v)
+    order (one stable sort by dist over ids in ascending order) and keeps
+    the first hit in each cone.
+
+    At d = 2 in euclidean mode with fewer cones than candidates, the scan
+    stops early.  Every candidate lies in the points' bounding box, and
+    ssa.cone_reach_2d bounds, per cone, the distance to any box point that
+    cone_of can put in it: the cone's wedge, widened by REACH_SLACK radians
+    against the rounding of the difference vector and of atan2, clipped to
+    the box, with a 1 + REACH_SLACK factor on the distance.  Once the
+    current distance exceeds the reach of every cone still empty, no later
+    candidate (all at least as far) can land in one, so the edges are those
+    of the full scan.  Otherwise (d != 2, udg mode, at least n - 1 cones,
+    or a cone too narrow for the slack) every candidate is scanned; nothing
+    of the cone count's size is allocated, so tiny eps and high d stay
+    affordable.
     """
-    _, cone_of = cone_selector(p.d, _cone_angle(cfg.eps_base()))
-    near = _neighbours(p, cfg)
+    theta = _cone_angle(cfg.eps_base())
+    tau, cone_of = cone_selector(p.d, theta)
     pts = p.points
+    reach_of = None
+    if cfg.mode == "udg":
+        near = _neighbours(p, cfg)
+    elif p.d == 2 and tau < p.n - 1:
+        lo = (min(x for x, _ in pts), min(y for _, y in pts))
+        hi = (max(x for x, _ in pts), max(y for _, y in pts))
+        reach_of = cone_reach_2d(theta, lo, hi)
     chosen: set[tuple[int, int]] = set()
     for u, pu in enumerate(pts):
-        best: dict[int, tuple[float, int]] = {}
-        for v, dist in near(u):
+        if cfg.mode == "udg":
+            dist = dict(near(u))
+            order = sorted(sorted(dist), key=dist.__getitem__)
+        else:
+            dist = [math.dist(pu, q) for q in pts]
+            order = sorted(range(p.n), key=dist.__getitem__)
+            order.remove(u)
+        limit = math.inf
+        if reach_of is not None:
+            reach = reach_of(pu)
+            empty = sorted(range(tau), key=reach.__getitem__)  # longest reach last
+            limit = reach[empty[-1]]
+        filled: set[int] = set()
+        for v in order:
+            if dist[v] > limit:
+                break
             cone = cone_of(tuple(map(operator.sub, pts[v], pu)))
-            cur = best.get(cone)
-            if cur is None or (dist, v) < cur:
-                best[cone] = (dist, v)
-        chosen.update((min(u, v), max(u, v)) for _, v in best.values())
+            if cone in filled:
+                continue
+            filled.add(cone)
+            chosen.add((u, v) if u < v else (v, u))
+            if reach_of is not None:
+                while empty and empty[-1] in filled:
+                    empty.pop()
+                limit = reach[empty[-1]] if empty else -math.inf
     edges = [(u, v, p.distance(u, v)) for u, v in sorted(chosen)]
     return WeightedGraph(p.n, edges)
 

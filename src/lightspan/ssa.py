@@ -125,6 +125,59 @@ def cone_selector(d: int, theta: float):
     return 2**d * steps ** (d - 1), cone_of
 
 
+# widening, in radians and relative distance, that cone_reach_2d adds to each
+# cone: far above the rounding of a difference vector, atan2 and the cone
+# division, which are a few ulps
+REACH_SLACK = 1e-9
+
+
+def cone_reach_2d(theta: float, lo: tuple[float, float], hi: tuple[float, float]):
+    """u -> per-cone reach of cone_selector(2, theta) inside the box [lo, hi],
+    or None when some cone is at most 4 REACH_SLACK wide.
+
+    The reach of cone c is an upper bound on math.dist(u, v) for every
+    point v of the box that cone_of(v - u) puts in cone c, u in the box.
+    Cone c holds the angles [c theta, (c + 1) theta), the last one up to
+    2 pi.  Rounding moves a vector's computed angle by far less than
+    REACH_SLACK, so v lies in the cone's true wedge widened by REACH_SLACK
+    on both sides.  That wedge's intersection with the box is a polygon
+    whose vertices are u, the two boundary rays' exits from the box (a ray
+    from inside a box leaves it once) and the box corners inside the wedge,
+    and the farthest point of a polygon from u is a vertex.  A corner is
+    charged to the cones at its angle +- 2 REACH_SLACK, which, every cone
+    being wider than that interval, include each widened wedge holding it.
+    The result is scaled by 1 + REACH_SLACK for the rounding of the exits
+    and of math.dist.  A flat box is fine.
+    """
+    tau = _cone_count_2d(theta)
+    two_pi = 2.0 * math.pi
+    margin = 2.0 * REACH_SLACK
+    if theta <= 2.0 * margin or two_pi - (tau - 1) * theta <= 2.0 * margin:
+        return None
+    bounds = [c * theta for c in range(tau)] + [two_pi]
+    angles = [a for c in range(tau) for a in (bounds[c] - REACH_SLACK, bounds[c + 1] + REACH_SLACK)]
+    # neither sine nor cosine of these angles is exactly 0
+    rays = [(math.cos(a), math.sin(a)) for a in angles]
+    corners = [(x, y) for x in (lo[0], hi[0]) for y in (lo[1], hi[1])]
+
+    def reach(u: tuple[float, float]) -> list[float]:
+        ux, uy = u
+        xh, xl, yh, yl = hi[0] - ux, lo[0] - ux, hi[1] - uy, lo[1] - uy
+        exits = [min((xh if c > 0 else xl) / c, (yh if s > 0 else yl) / s) for c, s in rays]
+        out = list(map(max, exits[0::2], exits[1::2]))
+        for corner in corners:
+            if corner == u:
+                continue
+            dist = math.dist(corner, u)
+            a = math.atan2(corner[1] - uy, corner[0] - ux)
+            for x in (a - margin, a + margin):
+                j = min(int(x % two_pi / theta), tau - 1)
+                out[j] = max(out[j], dist)
+        return [r * (1.0 + REACH_SLACK) for r in out]
+
+    return reach
+
+
 # ---------------------------------------------------------------------------
 # backends
 

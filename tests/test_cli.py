@@ -1,8 +1,14 @@
 import csv
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lightspan
 from lightspan.cli import main
 from lightspan.graphs import parse_graph
 
@@ -209,6 +215,40 @@ def test_bad_parameters_are_usage_errors(tmp_path):
     g.write_text("2 1\n0 1 1.0\n")
     assert run("build", "general", str(g), "--epsilon", "1.5", "--out", "-") == 2
     assert run("gen", "graph", "--n", "5", "--m", "2", "--out", "-") == 2
+
+
+def test_overflowing_weight_ratio_is_a_usage_error(tmp_path, capsys):
+    g = tmp_path / "g.graph"
+    g.write_text("3 3\n0 1 1e-300\n1 2 1e300\n0 2 1e300\n")
+    assert run("build", "general", str(g), "--out", "-") == 2
+    assert "weight ratio exceeds the float range" in capsys.readouterr().err
+
+
+def _cli_in_2gb(*argv: str) -> subprocess.CompletedProcess:
+    """The CLI in a fresh interpreter with 2 GB of address space and a 60 s
+    timeout, so that a build which tries to exhaust memory fails the test
+    instead of the machine."""
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    src = str(Path(lightspan.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-m", "lightspan.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=60, preexec_fn=cap_memory,
+    )
+
+
+@pytest.mark.parametrize("eps", ["1e-6", "1e-300"])
+def test_tiny_epsilon_is_refused_before_subdividing(tmp_path, eps):
+    # 5 collinear points at eps 1e-6 would cut the MST into about 5 million
+    # pieces, and at 1e-300 into about 1e300
+    p = tmp_path / "p.points"
+    p.write_text("5 2\n" + "".join(f"{i} 0\n" for i in range(5)))
+    out = _cli_in_2gb("build", "euclidean", str(p), "--epsilon", eps, "--out", "-")
+    assert out.returncode == 2, out.stderr
+    assert "subdivided MST would have more than" in out.stderr
 
 
 def test_sweep_csv_shape(tmp_path):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from lightspan import graphs
 from conftest import point_graph, weighted_graph
 from lightspan.graphs import (
     DegeneratePoints,
@@ -127,6 +128,15 @@ def test_normalize_scales_min_weight_to_one():
     assert [(u, v, w * scale) for u, v, w in gn.edges] == g.edges
 
 
+def test_normalize_rejects_an_overflowing_weight_ratio():
+    g = WeightedGraph(3, [(0, 1, 1e-300), (1, 2, 1e300)])
+    with pytest.raises(ValueError, match="weight ratio exceeds the float range"):
+        normalize(g)
+    # the widest ratio that still fits is accepted
+    gn, _ = normalize(WeightedGraph(2, [(0, 1, 1.0), (0, 1, 1e308)]))
+    assert max(w for _, _, w in gn.edges) == 1e308
+
+
 def test_validate_rejects_self_loop_and_range():
     with pytest.raises(ValueError):
         WeightedGraph(2, [(0, 0, 1.0)]).validate()
@@ -235,6 +245,19 @@ def test_subdivision_leaves_light_edges_alone():
     sub = subdivide_mst(g, [0, 1], 1.0)
     assert sub.extended_vertex_count == g.n
     assert sub.tree_edges == [(0, 1, 0.5), (1, 2, 0.25)]
+
+
+def test_subdivision_refuses_more_vertices_than_the_budget(monkeypatch):
+    g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 2.0)])
+    # pieces of 0.25 make 4 + 8 pieces: 3 + 3 + 7 = 13 vertices
+    monkeypatch.setattr(graphs, "SUBDIVISION_VERTEX_BUDGET", 13)
+    assert subdivide_mst(g, [0, 1], 0.25).extended_vertex_count == 13
+    monkeypatch.setattr(graphs, "SUBDIVISION_VERTEX_BUDGET", 12)
+    with pytest.raises(ValueError, match="more than 12 vertices"):
+        subdivide_mst(g, [0, 1], 0.25)
+    # w / w_bar overflows to inf: still a ValueError, not an OverflowError
+    with pytest.raises(ValueError, match="more than 12 vertices"):
+        subdivide_mst(WeightedGraph(2, [(0, 1, 1e300)]), [0], 1e-300)
 
 
 # ---------------------------------------------------------------------------

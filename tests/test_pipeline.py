@@ -11,10 +11,19 @@ from pathlib import Path
 import pytest
 
 import lightspan
+import lightspan.pipeline as pipeline
 import oracles
 from conftest import weighted_graph
 from lightspan.generate import planar_triangulation, random_connected_graph, uniform_points
-from lightspan.graphs import DisconnectedGraph, PointSet, WeightedGraph, build_mst
+from lightspan.graphs import (
+    SUBDIVISION_VERTEX_BUDGET,
+    DisconnectedGraph,
+    PointSet,
+    WeightedGraph,
+    build_mst,
+    normalize,
+    subdivide_mst,
+)
 from lightspan.pipeline import (
     RHO_GENERAL,
     RHO_GEOM,
@@ -201,6 +210,15 @@ def test_minor_free_on_planar_instances():
         res = light_spanner_minor_free(g, cfg)
         assert res.stats["stretch_measured"] <= cfg.stretch_target()
         assert res.stats["k"] is None
+
+
+def test_subdivision_budget_admits_strict_n200():
+    # strict general n=200, m=800 is the largest strict build on record
+    g, _ = normalize(random_connected_graph(200, 800, 3))
+    ids = build_mst(g)
+    w_bar = PipelineConfig(strict=True).eps() * sum(g.edges[i][2] for i in ids) / g.n
+    sub = subdivide_mst(g, ids, w_bar)
+    assert 200_000 < sub.extended_vertex_count <= SUBDIVISION_VERTEX_BUDGET
 
 
 def test_two_vertex_graph():
@@ -426,6 +444,47 @@ def test_yao_base_matches_brute_force(d, mode):
     _, cone_of = cone_selector(d, _cone_angle(cfg.eps_base()))
     want = oracles.yao_graph(p.points, cone_of, r if mode == "udg" else None)
     assert _yao_base(p, cfg).edges == want
+
+
+def _gauss_at_offset(n, seed):
+    rng = random.Random(seed)
+    return sorted({(1e6 + rng.gauss(0.0, 1e-3), 1e6 + rng.gauss(0.0, 1e-3)) for _ in range(n)})
+
+
+# 2-D inputs for the early-stopping Yao scan: ties, flat bounding boxes,
+# points far from the origin, and sizes at or below the cone count
+YAO_STOP_CASES = {
+    "uniform-300": (lambda: uniform_points(300, 2, 11).points, 0.25),
+    "lattice-15x15": (lambda: [(float(i), float(j)) for i in range(15) for j in range(15)], 0.25),
+    "horizontal-150": (lambda: [(0.37 * i, 2.0) for i in range(150)], 0.25),
+    "vertical-150": (lambda: [(-1.0, 0.37 * i) for i in range(150)], 0.25),
+    "diagonal-150": (lambda: [(0.5 * i, 0.5 * i) for i in range(150)], 0.25),
+    "circle-404": (lambda: [(math.cos(a), math.sin(a)) for a in (k * math.pi / 202 for k in range(404))], 0.25),
+    "gauss-offset-1e6": (lambda: _gauss_at_offset(200, 4), 0.25),
+    "n1": (lambda: [(0.0, 0.0)], 0.25),
+    "n2": (lambda: [(0.0, 0.0), (1.0, 2.0)], 0.25),
+    "n3": (lambda: [(0.0, 0.0), (1.0, 2.0), (3.0, -1.0)], 0.25),
+    "cones-above-n": (lambda: uniform_points(120, 2, 12).points, 0.001),
+}
+
+
+@pytest.mark.parametrize("name", sorted(YAO_STOP_CASES))
+def test_yao_base_stops_early_and_matches_brute_force(monkeypatch, name):
+    make, eps_user = YAO_STOP_CASES[name]
+    p = PointSet(2, make())
+    cfg = PipelineConfig(mode="euclidean", eps_user=eps_user)
+    tau, cone_of = cone_selector(2, _cone_angle(cfg.eps_base()))
+    calls = []
+
+    def counting_selector(d, theta):
+        count, inner = cone_selector(d, theta)
+        return count, lambda vec: calls.append(vec) or inner(vec)
+
+    monkeypatch.setattr(pipeline, "cone_selector", counting_selector)
+    assert _yao_base(p, cfg).edges == oracles.yao_graph(p.points, cone_of)
+    # with fewer cones than candidates the scan stops early; otherwise it
+    # looks at every ordered pair
+    assert (len(calls) < p.n * (p.n - 1)) == (tau < p.n - 1)
 
 
 @pytest.mark.parametrize("d, side", [(2, 1.5), (4, 1.0)])

@@ -10,7 +10,9 @@ from lightspan.ssa import (
     SsaInput,
     _cone_count_2d,
     _cone_index_2d,
+    REACH_SLACK,
     _sampling_spanner,
+    cone_reach_2d,
     cone_selector,
     ssa_general,
     ssa_geom,
@@ -112,6 +114,50 @@ def test_cone_index_2d_walks_the_circle():
     assert seen == list(range(tau))
     # angles beyond the last boundary still land in the final cone
     assert _cone_index_2d(math.cos(-0.001), math.sin(-0.001), eps, tau) == tau - 1
+
+
+def test_cone_reach_needs_cones_wider_than_its_slack():
+    assert cone_reach_2d(3 * REACH_SLACK, (0.0, 0.0), (1.0, 1.0)) is None
+    # a seventh cone about 1e-12 wide
+    assert cone_reach_2d((2 * math.pi - 1e-12) / 6, (0.0, 0.0), (1.0, 1.0)) is None
+
+
+@pytest.mark.parametrize("theta", [0.0625, 0.3, 1.0, (2 * math.pi - 1e-8) / 6])
+def test_cone_reach_bounds_every_box_point_in_its_cone(theta):
+    # the last theta leaves a seventh cone 1e-8 wide.  Points sit at random,
+    # on box edges and corners, and on rays just either side of cone
+    # boundaries; boxes are sometimes flat.
+    tau, cone_of = cone_selector(2, theta)
+    rng = random.Random(int(theta * 1000))
+    for _ in range(60):
+        lo = [rng.uniform(-5.0, 5.0) for _ in range(2)]
+        hi = [x + rng.choice([0.0, rng.uniform(0.0, 3.0), rng.uniform(0.0, 1e-6)]) for x in lo]
+
+        def inside(pick_edge):
+            pt = [rng.uniform(a, b) for a, b in zip(lo, hi)]
+            if pick_edge:
+                j = rng.randrange(2)
+                pt[j] = rng.choice([lo[j], hi[j]])
+            return tuple(pt)
+
+        reach = cone_reach_2d(theta, tuple(lo), tuple(hi))
+        corners = [(x, y) for x in (lo[0], hi[0]) for y in (lo[1], hi[1])]
+        for _ in range(5):
+            u = rng.choice([inside(False), inside(True), rng.choice(corners)])
+            r = reach(u)
+            assert len(r) == tau and min(r) >= 0.0
+            assert max(r) <= math.dist(lo, hi) * (1.0 + 2 * REACH_SLACK)
+            targets = corners + [inside(k % 2 == 0) for k in range(40)]
+            for _ in range(20):
+                a = rng.choice([rng.randrange(tau) * theta, 2 * math.pi])
+                a += rng.choice([-1e-12, 0.0, 1e-12])
+                t = rng.uniform(0.0, 10.0)
+                ray = (u[0] + t * math.cos(a), u[1] + t * math.sin(a))
+                targets.append(tuple(min(max(x, a_), b_) for x, a_, b_ in zip(ray, lo, hi)))
+            for v in targets:
+                if v != u:
+                    cone = cone_of(tuple(b - a for a, b in zip(u, v)))
+                    assert math.dist(u, v) <= r[cone]
 
 
 def test_cone_selector_takes_strict_eps_and_high_dimension():
