@@ -193,7 +193,10 @@ def cmd_gen(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.target == "trace":
-        trace = json.loads(_read(args.input))
+        try:
+            trace = json.loads(_read(args.input))
+        except json.JSONDecodeError as exc:
+            raise FormatError(exc.lineno, f"trace is not JSON: {exc.msg}") from None
         report = check_hierarchy(trace)
         print(report.to_json())
         return 0 if report.passed else 1

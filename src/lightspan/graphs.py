@@ -19,10 +19,10 @@ class DegeneratePoints(ValueError):
 
 
 class FormatError(ValueError):
-    """Malformed input text; carries a 1-based line number."""
+    """Malformed input text; carries a 1-based line number where one applies."""
 
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
+    def __init__(self, line_no: int | None, message: str):
+        super().__init__(message if line_no is None else f"line {line_no}: {message}")
         self.line_no = line_no
 
 
@@ -107,20 +107,28 @@ def _data_lines(text: str):
         yield no, line
 
 
-def parse_graph(text: str) -> WeightedGraph:
-    lines = _data_lines(text)
+def _read_header(lines, kind: str, second: str) -> tuple[int, int, int]:
+    """(line number, n, second field) of a graph ("n m") or point ("n d") header, n >= 1."""
     try:
         no, header = next(lines)
     except StopIteration:
-        raise FormatError(1, "empty graph file") from None
+        raise FormatError(1, f"empty {kind} file") from None
     parts = header.split()
     if len(parts) != 2:
-        raise FormatError(no, f"expected header 'n m', got {header!r}")
+        raise FormatError(no, f"expected header 'n {second}', got {header!r}")
     try:
-        n, m = int(parts[0]), int(parts[1])
+        n, x = int(parts[0]), int(parts[1])
     except ValueError:
         raise FormatError(no, f"non-integer header fields in {header!r}") from None
-    if n <= 0 or m < 0:
+    if n <= 0:
+        raise FormatError(no, f"invalid sizes n={n} {second}={x}")
+    return no, n, x
+
+
+def parse_graph(text: str) -> WeightedGraph:
+    lines = _data_lines(text)
+    no, n, m = _read_header(lines, "graph", "m")
+    if m < 0:
         raise FormatError(no, f"invalid sizes n={n} m={m}")
     edges: list[tuple[int, int, float]] = []
     for no, line in lines:
@@ -152,17 +160,7 @@ def format_graph(g: WeightedGraph) -> str:
 
 def parse_points(text: str) -> PointSet:
     lines = _data_lines(text)
-    try:
-        no, header = next(lines)
-    except StopIteration:
-        raise FormatError(1, "empty point file") from None
-    parts = header.split()
-    if len(parts) != 2:
-        raise FormatError(no, f"expected header 'n d', got {header!r}")
-    try:
-        n, d = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise FormatError(no, f"non-integer header fields in {header!r}") from None
+    _, n, d = _read_header(lines, "point", "d")
     points: list[tuple[float, ...]] = []
     for no, line in lines:
         parts = line.split()

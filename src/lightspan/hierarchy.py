@@ -275,13 +275,15 @@ class ClusterGraph:
 
 
 class _ChainIndex:
-    """Maximal degree-<=2 chains of a tree, with augmented prefix sums.
+    """Chains of a tree with augmented prefix sums, for the shadow test.
 
-    A class edge is shadowed by its tree path only when every interior node
-    of that path has tree degree at most 2, i.e. both ends sit on one chain
-    (degree-3+ nodes may bound a chain but never sit inside one).  Prefix
-    sums give the augmented path weight, edges plus all node weights
-    including both endpoints, in O(1) per query.
+    A chain is a maximal tree path whose interior nodes have degree 2, so
+    every tree edge lies on exactly one, and a class edge is shadowed only
+    when both its ends lie on one chain.  A chain is walked from the least-id
+    end of its run of degree-<=2 nodes, with that end's first degree->=3
+    neighbour (adjacency order) in front; a bare edge between two degree->=3
+    nodes is walked as stored.  Prefix sums add edge, then node weight, so a
+    query returns the augmented path weight (edges plus all nodes) in O(1).
     """
 
     def __init__(self, n: int, node_weights: list[float], tree_edges: list[tuple[int, int, float, int]]):
@@ -289,92 +291,58 @@ class _ChainIndex:
         for a, b, w, _ in tree_edges:
             adj[a].append((b, w))
             adj[b].append((a, w))
+        low = [len(us) <= 2 for us in adj]
         self._node_weights = node_weights
-        deg = [len(a) for a in adj]
-        self.deg = deg
-        self.chain_of = [-1] * n
-        self.chain_nodes: list[list[int]] = []
-        self.pos_in_chain: list[dict[int, int]] = []
-        self.prefix: list[list[float]] = []
-        self.pair_chain: dict[tuple[int, int], int] = {}
+        self.chain_of = chain_of = [None] * n  # (positions, prefix sums) of each degree-<=2 node
+        self.by_ends = {}  # the same for each chain between two degree->=3 nodes, by (min, max) ends
 
-        def edge_w(low_deg_node: int, other: int) -> float:
-            for u, w in adj[low_deg_node]:
-                if u == other:
-                    return w
-            raise KeyError((low_deg_node, other))
-
-        def new_chain(seq: list[int]) -> None:
-            cid = len(self.prefix)
-            index: dict[int, int] = {}
+        def add(walk: list[tuple[float, int]]) -> None:  # (weight of the edge in, node) steps
             pref: list[float] = []
+            chain = ({v: j for j, (_, v) in enumerate(walk)}, pref)
             run = 0.0
-            for j, v in enumerate(seq):
-                if j > 0:
-                    a, b = seq[j - 1], v
-                    run += edge_w(a if deg[a] <= 2 else b, b if deg[a] <= 2 else a)
+            for w, v in walk:
+                run += w
                 run += node_weights[v]
                 pref.append(run)
-                index[v] = j
-                if deg[v] <= 2:
-                    self.chain_of[v] = cid
-            self.chain_nodes.append(seq)
-            self.pos_in_chain.append(index)
-            self.prefix.append(pref)
-            if deg[seq[0]] >= 3 and deg[seq[-1]] >= 3:
-                key = (min(seq[0], seq[-1]), max(seq[0], seq[-1]))
-                self.pair_chain[key] = cid
+                if low[v]:
+                    chain_of[v] = chain
+            a, b = walk[0][1], walk[-1][1]
+            if not low[a] and not low[b]:
+                self.by_ends[min(a, b), max(a, b)] = chain
 
         for v in range(n):
-            if deg[v] >= 3 or self.chain_of[v] != -1:
-                continue
-            low_neighbors = [u for u, _ in adj[v] if deg[u] <= 2]
-            if len(low_neighbors) > 1:
-                continue  # interior of a run, reached from its endpoint
-            run = [v]
-            prev = -1
-            cur = v
-            while True:
-                nxt = None
-                for u, _ in adj[cur]:
-                    if u != prev and deg[u] <= 2:
-                        nxt = u
-                        break
-                if nxt is None:
+            if not low[v] or chain_of[v] is not None or len([u for u, _ in adj[v] if low[u]]) > 1:
+                continue  # branching, already walked, or inside a run
+            walk, prev, cur = [(0.0, v)], v, v  # prev = v excludes no neighbour
+            for u, w in adj[v]:
+                if not low[u]:
+                    walk, prev = [(0.0, u), (w, v)], u
                     break
-                run.append(nxt)
-                prev, cur = cur, nxt
-            left = [u for u, _ in adj[run[0]] if deg[u] >= 3]
-            right = [u for u, _ in adj[run[-1]] if deg[u] >= 3 and (len(run) > 1 or u not in left[:1])]
-            seq = ([left[0]] if left else []) + run + ([right[0]] if right else [])
-            new_chain(seq)
+            while low[cur]:
+                for u, w in adj[cur]:
+                    if u != prev:
+                        break
+                else:
+                    break
+                walk.append((w, u))
+                prev, cur = cur, u
+            add(walk)
         for a, b, w, _ in tree_edges:
-            if deg[a] >= 3 and deg[b] >= 3:
-                cid = len(self.prefix)
-                self.chain_nodes.append([a, b])
-                self.pos_in_chain.append({a: 0, b: 1})
-                self.prefix.append([node_weights[a], node_weights[a] + w + node_weights[b]])
-                self.pair_chain[(min(a, b), max(a, b))] = cid
+            if not low[a] and not low[b]:
+                add([(0.0, a), (w, b)])
 
     def path_weight_if_eligible(self, a: int, b: int) -> float | None:
         """Augmented tree-path weight, or None when an interior node branches."""
-        ca, cb = self.chain_of[a], self.chain_of[b]
-        if ca != -1 and (ca == cb or (cb == -1 and b in self.pos_in_chain[ca])):
-            cid = ca
-        elif cb != -1 and ca == -1 and a in self.pos_in_chain[cb]:
-            cid = cb
-        elif ca == -1 and cb == -1:
-            cid = self.pair_chain.get((min(a, b), max(a, b)), -1)
-            if cid == -1:
-                return None
-        else:
+        chain = self.chain_of[a] or self.chain_of[b] or self.by_ends.get((min(a, b), max(a, b)))
+        if chain is None:
             return None
-        pa = self.pos_in_chain[cid][a]
-        pb = self.pos_in_chain[cid][b]
+        pos, pref = chain
+        pa, pb = pos.get(a), pos.get(b)
+        if pa is None or pb is None:
+            return None
         if pa > pb:
-            pa, pb = pb, pa
-        pref = self.prefix[cid]
-        return (pref[pb] - pref[pa]) + self._node_weights[self.chain_nodes[cid][pa]]
+            a, pa, pb = b, pb, pa
+        return (pref[pb] - pref[pa]) + self._node_weights[a]
 
 
 def build_cluster_graph(

@@ -10,7 +10,7 @@ own edges.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .hierarchy import InvariantViolation
 
@@ -24,8 +24,6 @@ class LevelSchedule:
     light_edges: list[int]
     # sigma -> level i -> edge ids, nonempty cells only
     per_sigma: dict[int, dict[int, list[int]]]
-    # (sigma, i) per heavy edge id, for audits
-    assignment: dict[int, tuple[int, int]] = field(default_factory=dict)
 
     def level_threshold(self, sigma: int, i: int) -> float:
         """L_i = (1+psi)^sigma * w_bar / eps^i (same expression the classifier uses)."""
@@ -68,7 +66,6 @@ def classify_edges(g, mst_edge_ids: list[int], w_bar: float, eps: float, psi: fl
     light_cut = w_bar / eps
     light: list[int] = []
     per_sigma: dict[int, dict[int, list[int]]] = {}
-    assignment: dict[int, tuple[int, int]] = {}
     pow_psi = [1.0]
     for _ in range(mu):
         pow_psi.append(pow_psi[-1] * (1.0 + psi))
@@ -92,6 +89,5 @@ def classify_edges(g, mst_edge_ids: list[int], w_bar: float, eps: float, psi: fl
             placed = (mu, i)
         sigma, i = placed
         per_sigma.setdefault(sigma, {}).setdefault(i, []).append(eid)
-        assignment[eid] = placed
     return LevelSchedule(psi=psi, eps=eps, mu=mu, w_bar=w_bar, light_edges=light,
-                         per_sigma=per_sigma, assignment=assignment)
+                         per_sigma=per_sigma)

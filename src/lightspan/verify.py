@@ -16,7 +16,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from .graphs import WeightedGraph, dijkstra
+from .graphs import FormatError, WeightedGraph, dijkstra
 
 
 class NotSpanning(ValueError):
@@ -127,6 +127,8 @@ def _int_keys(d: dict) -> dict:
     return {int(k): v for k, v in d.items()}
 
 PREFIX_DIAMETER_CAP = 500
+# top-level fields of a trace that check_hierarchy reads
+TRACE_FIELDS = ("per_sigma", "mst_weight", "edges", "n_extended", "sub_tree_edges", "light_ids")
 
 
 def check_hierarchy(trace: dict) -> VerificationReport:
@@ -136,8 +138,14 @@ def check_hierarchy(trace: dict) -> VerificationReport:
     the MST weight; each level's total potential drop equals the sum of the
     per-group drops; every corrected per-group drop is nonnegative up to
     rounding; and (on small instances) each cluster's induced diameter in
-    the already-built edge set is bounded by its potential.
+    the already-built edge set is bounded by its potential.  A trace that
+    is not an object or lacks a field of TRACE_FIELDS raises FormatError.
     """
+    if not isinstance(trace, dict):
+        raise FormatError(None, f"trace must be a JSON object, got {type(trace).__name__}")
+    missing = [key for key in TRACE_FIELDS if key not in trace]
+    if missing:
+        raise FormatError(None, f"trace is missing {', '.join(missing)}")
     report = VerificationReport()
     per_sigma = _int_keys(trace["per_sigma"])
     mst_w = trace["mst_weight"]

@@ -113,6 +113,34 @@ def augmented_diameter_paths(
     return best
 
 
+def chain_shadow(
+    node_weights: list[float], edges: list[tuple[int, int, float]], a: int, b: int
+) -> float | None:
+    """Augmented weight of the tree path from a to b (its edge weights plus
+    the node weights of every node on it, both ends included), or None when
+    an interior node of the path has tree degree 3 or more."""
+    adj: list[list[tuple[int, float]]] = [[] for _ in node_weights]
+    for u, v, w in edges:
+        adj[u].append((v, w))
+        adj[v].append((u, w))
+    back: dict[int, tuple[int, float]] = {a: (a, 0.0)}
+    stack = [a]
+    while stack:
+        x = stack.pop()
+        for y, w in adj[x]:
+            if y not in back:
+                back[y] = (x, w)
+                stack.append(y)
+    path, total, x = [b], 0.0, b
+    while x != a:
+        x, w = back[x]
+        path.append(x)
+        total += w
+    if any(len(adj[x]) > 2 for x in path[1:-1]):
+        return None
+    return total + sum(node_weights[x] for x in path)
+
+
 def girth(n: int, pairs: list[tuple[int, int]]) -> float:
     """Length of the shortest cycle: for each edge, drop it and count the
     hops still needed between its endpoints."""

@@ -107,6 +107,32 @@ def test_build_trace_then_verify_trace(tmp_path, capsys):
     assert report["passed"] is True
 
 
+@pytest.mark.parametrize(
+    "case, named",
+    [
+        ("empty object", "per_sigma"),
+        ("no n_extended", "is missing n_extended"),
+        ("array", "JSON object"),
+        ("not JSON", "not JSON"),
+    ],
+)
+def test_malformed_trace_is_a_format_error(tmp_path, capsys, case, named):
+    trace = tmp_path / "trace.json"
+    if case == "no n_extended":
+        g = tmp_path / "g.graph"
+        run("gen", "graph", "--n", "12", "--m", "30", "--out", str(g))
+        run("build", "general", str(g), "--out", str(tmp_path / "h.graph"), "--trace", str(trace))
+        blob = json.loads(trace.read_text())
+        del blob["n_extended"]
+        trace.write_text(json.dumps(blob))
+    else:
+        trace.write_text({"empty object": "{}", "array": "[]", "not JSON": "phi 1.0\n"}[case])
+    capsys.readouterr()
+    assert run("verify", "trace", str(trace)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+
+
 def test_build_euclidean_from_points(tmp_path, capsys):
     p = tmp_path / "p.points"
     stats = tmp_path / "s.json"
@@ -199,6 +225,14 @@ def test_malformed_input_reports_line(tmp_path, capsys):
     g.write_text("3 2\n0 1 1.0\n1 junk\n")
     assert run("build", "general", str(g), "--out", "-") == 3
     assert "line 3" in capsys.readouterr().err
+
+
+def test_point_file_without_points_is_a_format_error(tmp_path, capsys):
+    p = tmp_path / "p.points"
+    p.write_text("0 2\n")
+    assert run("build", "euclidean", str(p), "--out", "-") == 3
+    err = capsys.readouterr().err
+    assert err == "error: line 1: invalid sizes n=0 d=2\n"
 
 
 @pytest.mark.parametrize("mode", ["euclidean", "udg"])

@@ -70,6 +70,18 @@ def test_parse_graph_errors_carry_line_numbers():
     assert "promised 2" in str(exc.value)
 
 
+@pytest.mark.parametrize("header", ["0 2", "-3 2"])
+def test_parse_graph_rejects_headers_without_vertices(header):
+    with pytest.raises(FormatError, match="invalid sizes n="):
+        parse_graph(header + "\n")
+
+
+@pytest.mark.parametrize("header", ["0 2", "-3 2"])
+def test_parse_points_rejects_headers_without_points(header):
+    with pytest.raises(FormatError, match="invalid sizes n="):
+        parse_points(header + "\n")
+
+
 def test_parse_graph_skips_comments_and_blanks():
     g = parse_graph("# header\n\n2 1\n# edge\n0 1 3.0\n")
     assert g.n == 2 and g.edges == [(0, 1, 3.0)]

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import math
 import random
 from types import SimpleNamespace
@@ -17,6 +18,7 @@ from lightspan.hierarchy import (
     build_cluster_graph,
     build_level1,
     contract_level,
+    _ChainIndex,
 )
 
 
@@ -158,6 +160,96 @@ def test_level1_rejects_scale_below_piece_size():
     _, _, sub = _subdivided(1, w_bar=0.8)
     with pytest.raises(ValueError):
         build_level1(sub, level0_scale=0.5)
+
+
+# ---------------------------------------------------------------------------
+# chain index behind the shadow test
+
+CHAIN_SHAPES = ["tiny", "path", "star", "caterpillar", "adjacent hubs", "hub-2-hub", "random"]
+CHAIN_WEIGHTS = ["uniform", "zero nodes", "tied"]
+
+
+def _caterpillar(leaves):
+    """(n, pairs) of a spine path whose node s carries leaves[s] leaves."""
+    pairs = [(s - 1, s) for s in range(1, len(leaves))]
+    n = len(leaves)
+    for s, k in enumerate(leaves):
+        pairs += [(s, n + j) for j in range(k)]
+        n += k
+    return n, pairs
+
+
+def _shaped_tree(shape, weights, seed):
+    """Seeded tree of one shape as a level carries it: (n, node weights,
+    (a, b, w, id) edges), with ids relabelled and edges shuffled and flipped
+    so that chain ends and adjacency order vary."""
+    rng = random.Random(seed)
+    if shape == "tiny":
+        n = rng.choice([1, 2, 3])
+        pairs = [(rng.randrange(v), v) for v in range(1, n)]
+    elif shape == "path":
+        n, pairs = _caterpillar([0] * rng.randint(2, 30))
+    elif shape == "star":
+        n, pairs = _caterpillar([rng.randint(3, 19)])
+    elif shape == "caterpillar":
+        n, pairs = _caterpillar([rng.randint(0, 3) for _ in range(rng.randint(2, 10))])
+    elif shape == "adjacent hubs":  # two degree->=3 nodes sharing an edge
+        n, pairs = _caterpillar([rng.randint(2, 4), rng.randint(2, 4)])
+    elif shape == "hub-2-hub":  # one degree-2 node between two degree->=3 nodes
+        n, pairs = _caterpillar([rng.randint(2, 4), 0, rng.randint(2, 4)])
+    else:
+        n = rng.randint(2, 40)
+        pairs = [(rng.randrange(v), v) for v in range(1, n)]
+    label = list(range(n))
+    rng.shuffle(label)
+    rng.shuffle(pairs)
+
+    def pick():
+        return rng.choice([0.1, 0.2, 0.3]) if weights == "tied" else rng.uniform(0.1, 3.0)
+
+    node_weights = [0.0 if weights == "zero nodes" else pick() for _ in range(n)]
+    tree = []
+    for eid, (u, v) in enumerate(pairs):
+        a, b = (label[u], label[v]) if rng.random() < 0.5 else (label[v], label[u])
+        tree.append((a, b, pick(), eid))
+    return n, node_weights, tree
+
+
+def _shadow_values(n, node_weights, tree):
+    index = _ChainIndex(n, node_weights, tree)
+    return {
+        (a, b): index.path_weight_if_eligible(a, b) for a in range(n) for b in range(n) if a != b
+    }
+
+
+@pytest.mark.parametrize("weights", CHAIN_WEIGHTS)
+@pytest.mark.parametrize("shape", CHAIN_SHAPES)
+def test_chain_index_matches_tree_path_oracle(shape, weights):
+    for seed in range(20):
+        n, node_weights, tree = _shaped_tree(shape, weights, seed)
+        plain = [(a, b, w) for a, b, w, _ in tree]
+        for (a, b), got in _shadow_values(n, node_weights, tree).items():
+            want = oracles.chain_shadow(node_weights, plain, a, b)
+            assert (got is None) == (want is None), (shape, weights, seed, a, b)
+            if want is not None:
+                assert math.isclose(got, want, rel_tol=1e-12), (shape, weights, seed, a, b)
+
+
+# sha256 of repr() of every ordered pair's shadow value on the trees below,
+# recorded before the index was last rewritten.  It holds the float order of
+# the chain sums directly, where the output digests see it only through
+# which class edges happen to be shadowed.
+CHAIN_INDEX_PIN = "29d3a63926f927d29cd625fb7b4a52078de591328f20cf8c5f4bc764c804a554"
+
+
+def test_chain_index_values_are_pinned():
+    values = []
+    for shape in CHAIN_SHAPES:
+        for weights in CHAIN_WEIGHTS:
+            for seed in (101, 102):
+                found = _shadow_values(*_shaped_tree(shape, weights, seed))
+                values += [found[pair] for pair in sorted(found)]
+    assert hashlib.sha256(repr(values).encode()).hexdigest() == CHAIN_INDEX_PIN
 
 
 # ---------------------------------------------------------------------------

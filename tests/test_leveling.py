@@ -12,6 +12,16 @@ from lightspan.leveling import classify_edges
 from lightspan.pipeline import PipelineConfig, light_spanner_general
 
 
+def _cells(sch):
+    """(sigma, i) of every heavy edge, read off per_sigma."""
+    return {
+        eid: (sigma, i)
+        for sigma, cells in sch.per_sigma.items()
+        for i, ids in cells.items()
+        for eid in ids
+    }
+
+
 def test_mu_matches_formula():
     sch = classify_edges(WeightedGraph(2, [(0, 1, 1.0)]), [], w_bar=10.0, eps=0.1, psi=0.5)
     assert sch.mu == math.ceil(math.log(1.0 / 0.1) / math.log(1.5))
@@ -22,7 +32,7 @@ def test_light_cut():
     g = WeightedGraph(4, [(0, 1, 3.9), (1, 2, 4.0), (2, 3, 4.1)])
     sch = classify_edges(g, [], w_bar=1.0, eps=0.25, psi=0.25)
     assert sch.light_edges == [0, 1]
-    assert set(sch.assignment) == {2}
+    assert set(_cells(sch)) == {2}
 
 
 def test_edge_that_escapes_every_class_is_an_invariant_violation(monkeypatch):
@@ -50,7 +60,7 @@ def test_every_heavy_weight_lands_in_a_valid_cell(w, eps, psi):
     g = WeightedGraph(2, [(0, 1, weight)])
     sch = classify_edges(g, [], w_bar=w_bar, eps=eps, psi=psi)
     assert sch.light_edges == []
-    (sigma, i) = sch.assignment[0]
+    (sigma, i) = _cells(sch)[0]
     assert 1 <= sigma <= sch.mu
     assert i >= 1
     assert _window_contains(sch, sigma, i, weight)
@@ -62,11 +72,11 @@ def test_classification_is_a_partition(seed):
     g = weighted_graph(12, 30, seed, lo=0.1, hi=5000.0)
     mst_ids = build_mst(g)
     sch = classify_edges(g, mst_ids, w_bar=1.0, eps=0.2, psi=0.3)
-    placed = set(sch.light_edges) | set(sch.assignment)
-    assert placed == set(range(g.m)) - set(mst_ids)
-    assert not set(sch.light_edges) & set(sch.assignment)
     listed = [e for cells in sch.per_sigma.values() for ids in cells.values() for e in ids]
-    assert sorted(listed) == sorted(sch.assignment)
+    assert len(listed) == len(set(listed))  # no heavy edge sits in two cells
+    placed = set(sch.light_edges) | set(listed)
+    assert placed == set(range(g.m)) - set(mst_ids)
+    assert not set(sch.light_edges) & set(listed)
 
 
 def test_lower_class_wins_when_windows_overlap():
@@ -75,7 +85,7 @@ def test_lower_class_wins_when_windows_overlap():
     w_bar, eps, psi = 1.0, 0.1, 0.5
     g0 = WeightedGraph(2, [(0, 1, 14.0)])
     sch = classify_edges(g0, [], w_bar=w_bar, eps=eps, psi=psi)
-    sigma, i = sch.assignment[0]
+    sigma, i = _cells(sch)[0]
     assert _window_contains(sch, sigma, i, 14.0)
     for lower in range(1, sigma):
         for j in range(1, 80):
