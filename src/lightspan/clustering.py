@@ -47,6 +47,18 @@ class ClusteringOutcome:
     counters: dict[str, int] = field(default_factory=dict)
 
 
+class _Tree:
+    """One ungrouped component, as walked from its first node."""
+
+    __slots__ = ("nodes", "total", "far", "diameter")
+
+    def __init__(self, nodes: list[int], total: float, far: int):
+        self.nodes = nodes  # walk order; nodes[0] is where the walk started
+        self.total = total  # total augmented weight
+        self.far = far  # deepest node from nodes[0]
+        self.diameter = None  # diameter_path, once asked for
+
+
 class _State:
     def __init__(self, cg: ClusterGraph, eps: float, strict: bool):
         self.cg = cg
@@ -67,8 +79,16 @@ class _State:
             self.class_adj[b].append((a, wt, cid))
         self.owner = [-1] * n
         self.parts: list[Subgraph] = []
+        # per-walk scratch: a node was reached by the current walk when its
+        # mark equals the walk's stamp; depth and up hold what that walk found
+        self.stamp = 0
+        self.mark = [0] * n
+        self.depth = [0.0] * n
+        self.up: list[tuple[int, int] | None] = [None] * n
+        self._forest: list[_Tree] | None = None
         self.counters: dict[str, int] = {
-            "scan": 0,
+            "scan": 0,  # nodes popped by component walks
+            "sweep": 0,  # nodes reached by farthest and ball walks
             "step1": 0,
             "step2": 0,
             "step3": 0,
@@ -92,48 +112,78 @@ class _State:
     def alive(self, v: int) -> bool:
         return self.owner[v] == -1
 
-    def alive_tree_neighbors(self, v: int):
-        for u, wt, tid in self.tree_adj[v]:
-            if self.owner[u] == -1:
-                yield u, wt, tid
-
     # ------------------------------------------------------------------
     # forest helpers over ungrouped nodes
 
-    def component(self, seed: int) -> tuple[list[int], float]:
-        """Nodes of seed's ungrouped component and its total augmented weight."""
+    def component(self, seed: int) -> tuple[list[int], float, int]:
+        """Nodes of seed's ungrouped component in walk order, its total
+        augmented weight, and its deepest node from seed.
+
+        The deepest node is farthest(seed)'s: distances along a tree path do
+        not depend on the walk order, and ties go to the least id.
+        """
+        tree_adj, owner, w, depth, mark = self.tree_adj, self.owner, self.w, self.depth, self.mark
+        self.stamp += 1
+        stamp = self.stamp
+        mark[seed] = stamp
         nodes = [seed]
-        seen = {seed}
-        total = self.w[seed]
+        total = best_d = depth[seed] = w[seed]
+        best = seed
         stack = [seed]
         while stack:
             v = stack.pop()
-            for u, wt, _ in self.alive_tree_neighbors(v):
-                if u not in seen:
-                    seen.add(u)
+            dv = depth[v]
+            for u, wt, _ in tree_adj[v]:
+                if owner[u] == -1 and mark[u] != stamp:
+                    mark[u] = stamp
                     nodes.append(u)
-                    total += wt + self.w[u]
+                    wu = w[u]
+                    total += wt + wu
+                    d = depth[u] = dv + wt + wu
+                    if d > best_d or (d == best_d and u < best):
+                        best, best_d = u, d
                     stack.append(u)
-            self.tick("scan")
-        return nodes, total
+        self.counters["scan"] += len(nodes)
+        return nodes, total, best
 
-    def components(self):
-        """(nodes, total augmented weight) of each ungrouped component, in the
-        order of their least nodes, each seeded at that node."""
-        seen = [False] * self.n
-        for v in range(self.n):
-            if self.alive(v) and not seen[v]:
-                comp, total = self.component(v)
-                for u in comp:
-                    seen[u] = True
-                yield comp, total
+    def forest(self) -> list[_Tree]:
+        """Every ungrouped component, walked from its least node, in the order
+        of least nodes.
 
-    def long_path(self, comp: list[int], total: float):
-        """diameter_path(comp) when its Adm is >= 6L, else None."""
-        if total < 6 * self.L:  # Adm <= total
+        A component that lost no node since the previous call is the same
+        component with the same walk, so it is kept as it was, diameter path
+        included; only the survivors of changed components are walked again.
+        """
+        owner = self.owner
+        if self._forest is None:
+            kept: list[_Tree] = []
+            loose = [v for v in range(self.n) if owner[v] == -1]
+        else:
+            kept, loose = [], []
+            for tree in self._forest:
+                if max(map(owner.__getitem__, tree.nodes)) == -1:
+                    kept.append(tree)
+                else:
+                    loose += [v for v in tree.nodes if owner[v] == -1]
+            loose.sort()
+        before = self.stamp
+        mark = self.mark
+        fresh = [_Tree(*self.component(v)) for v in loose if mark[v] <= before]
+        self._forest = sorted(kept + fresh, key=lambda t: t.nodes[0]) if kept else fresh
+        return self._forest
+
+    def long_path(self, tree: _Tree):
+        """diameter_path of the tree when its Adm is >= 6L, else None."""
+        if tree.total < 6 * self.L:  # Adm <= total
             return None
-        found = self.diameter_path(comp)
+        found = self.tree_diameter(tree)
         return found if found[3] >= 6 * self.L else None
+
+    def tree_diameter(self, tree: _Tree) -> tuple[list[int], list[float], list[int], float]:
+        """diameter_path of the tree, computed once."""
+        if tree.diameter is None:
+            tree.diameter = self.diameter_path(tree.nodes, tree.far)
+        return tree.diameter
 
     def take_window(self, xid: int, path: list[int], eids: list[int], lo: int, hi: int) -> None:
         """Group path[lo..hi] into part xid with the path edges between them."""
@@ -141,31 +191,50 @@ class _State:
             self.assign(v, xid)
         self.parts[xid].tree_eids.extend(eids[lo:hi])
 
-    def farthest(self, src: int) -> tuple[int, float, dict[int, float], dict[int, tuple[int, int]]]:
-        """Deepest node by augmented distance in src's ungrouped component,
-        with each reached node's distance and (parent, tree edge id)."""
-        dist = {src: self.w[src]}
-        up: dict[int, tuple[int, int]] = {}
-        best, best_d = src, self.w[src]
+    def farthest(self, src: int) -> tuple[int, float]:
+        """Deepest node by augmented distance in src's ungrouped component
+        (ties to the least id) and its distance.  Each reached node's distance
+        is left in depth and its (parent, tree edge id) in up."""
+        tree_adj, owner, w, depth, mark, up = (
+            self.tree_adj, self.owner, self.w, self.depth, self.mark, self.up
+        )
+        self.stamp += 1
+        stamp = self.stamp
+        mark[src] = stamp
+        best, best_d = src, w[src]
+        depth[src] = best_d
         stack = [src]
+        reached = 1
         while stack:
             v = stack.pop()
-            dv = dist[v]
-            for u, wt, tid in self.alive_tree_neighbors(v):
-                if u not in dist:
-                    d = dv + wt + self.w[u]
-                    dist[u] = d
+            dv = depth[v]
+            for u, wt, tid in tree_adj[v]:
+                if owner[u] == -1 and mark[u] != stamp:
+                    mark[u] = stamp
+                    d = depth[u] = dv + wt + w[u]
                     up[u] = (v, tid)
                     if d > best_d or (d == best_d and u < best):
                         best, best_d = u, d
                     stack.append(u)
-        return best, best_d, dist, up
+                    reached += 1
+        self.counters["sweep"] += reached
+        return best, best_d
 
-    def diameter_path(self, nodes: list[int]) -> tuple[list[int], list[float], list[int], float]:
+    def diameter_path(
+        self, nodes: list[int], far: int | None = None
+    ) -> tuple[list[int], list[float], list[int], float]:
         """Augmented diameter path of a whole ungrouped component: node list,
-        prefix sums, edge ids, Adm."""
-        a, _, _, _ = self.farthest(min(nodes))
-        b, adm, dist, up = self.farthest(a)
+        prefix sums, edge ids, Adm.
+
+        The path runs from the deepest node a from the least node to the
+        deepest node from a.  `far`, the deepest node from nodes[0] as
+        component returns it, stands in for the first sweep when nodes[0] is
+        the least node.
+        """
+        least = min(nodes)
+        a = far if far is not None and nodes[0] == least else self.farthest(least)[0]
+        b, adm = self.farthest(a)
+        up = self.up
         path = [b]
         eids: list[int] = []
         while path[-1] != a:
@@ -174,8 +243,9 @@ class _State:
             eids.append(tid)
         path.reverse()
         eids.reverse()
-        # dist[] sums from a along the path: the prefix sums of the path
-        return path, [dist[v] for v in path], eids, adm
+        # distances sum from a along the path: the prefix sums of the path
+        depth = self.depth
+        return path, [depth[v] for v in path], eids, adm
 
 
 # ---------------------------------------------------------------------------
@@ -232,26 +302,29 @@ def step1_high_nodes(state: _State) -> list[int]:
 def _carve_ball(state: _State, phi: int) -> tuple[set[int], float]:
     """Nodes within augmented distance < L of phi plus the first node at >= L
     on each branch; returns the ball and the radius actually reached."""
-    L = state.L
+    L, w, owner, tree_adj, depth = state.L, state.w, state.owner, state.tree_adj, state.depth
     ball = {phi}
-    dist = {phi: state.w[phi]}
-    radius = state.w[phi]
+    radius = depth[phi] = w[phi]
     stack = [phi]
     xid = state.new_part("Step2")
+    eids = state.parts[xid].tree_eids
+    pops = 0
     while stack:
         v = stack.pop()
-        dv = dist[v]
-        for u, wt, tid in state.alive_tree_neighbors(v):
-            if u in ball:
+        pops += 1
+        dv = depth[v]
+        for u, wt, tid in tree_adj[v]:
+            if owner[u] != -1 or u in ball:
                 continue
-            d = dv + wt + state.w[u]
+            d = depth[u] = dv + wt + w[u]
             ball.add(u)
-            dist[u] = d
-            radius = max(radius, d)
-            state.parts[xid].tree_eids.append(tid)
+            if d > radius:
+                radius = d
+            eids.append(tid)
             if d < L:
                 stack.append(u)
-        state.tick("step2")
+    state.tick("step2", pops)
+    state.tick("sweep", len(ball))
     for v in sorted(ball):
         state.assign(v, xid)
     return ball, radius
@@ -267,19 +340,28 @@ def step2_branching(state: _State) -> None:
     Low-degree path nodes that still hold an off-path subtree (their path
     neighbor died to a ball, or a tied diameter endpoint) are re-tasked too;
     retirement is reserved for nodes proven bare at sweep time.
-    """
-    L = state.L
-    retired = [False] * state.n
-    seeds = deque(comp[0] for comp, _ in state.components())
 
-    while seeds:
-        seed = seeds.popleft()
-        if not state.alive(seed) or retired[seed]:
-            continue
-        comp, total = state.component(seed)
-        found = state.long_path(comp, total)
+    The first task of each component is that component's tree from
+    state.forest(), walked once: the walk from its least node is also the
+    first sweep of its diameter path, and the components the tasks never
+    touch stay in the forest for step 3.  Re-seeded tasks walk from their
+    seed.
+    """
+    L, owner, tree_adj = state.L, state.owner, state.tree_adj
+    retired = [False] * state.n
+    seeds: deque[int] = deque()
+
+    def tasks():
+        yield from state.forest()
+        while seeds:
+            seed = seeds.popleft()
+            if owner[seed] == -1 and not retired[seed]:
+                yield _Tree(*state.component(seed))
+
+    for tree in tasks():
+        found = state.long_path(tree)
         if found is None:
-            for v in comp:
+            for v in tree.nodes:
                 retired[v] = True
             continue
         path, pre, _, _ = found
@@ -296,15 +378,16 @@ def step2_branching(state: _State) -> None:
         suspect_set: set[int] = set()
         while j < len(path):
             v = path[j]
-            if not state.alive(v):
+            if owner[v] != -1:
                 j += 1
                 continue
             deg = 0
             off_path = False
-            for u, _, _ in state.alive_tree_neighbors(v):
-                deg += 1
-                if u not in pos:
-                    off_path = True
+            for u, _, _ in tree_adj[v]:
+                if owner[u] == -1:
+                    deg += 1
+                    if u not in pos:
+                        off_path = True
             endpoint = j == 0 or j == len(path) - 1
             # an endpoint with a side subtree is carve-worthy on the first
             # carve only: the intact path then guarantees radius >= L
@@ -332,21 +415,22 @@ def step2_branching(state: _State) -> None:
                 wr += 1
             # anything left of the window was swept branch-free: retire it
             for k in range(seg_start, j):
-                if state.alive(path[k]) and path[k] not in suspect_set:
+                if owner[path[k]] == -1 and path[k] not in suspect_set:
                     retired[path[k]] = True
-            # side remnants hang off the ball; re-seed them lazily
+            # side remnants hang off the ball (now grouped); re-seed them lazily
+            beyond = path[wr + 1] if wr + 1 < len(path) else None
             for b in ball:
-                for u, _, _ in state.alive_tree_neighbors(b):
-                    if u not in ball and pos.get(u) != wr + 1:
+                for u, _, _ in tree_adj[b]:
+                    if owner[u] == -1 and u != beyond:
                         seeds.append(u)
             j = wr + 1
             seg_start = j
         if not reseeded:
             for k in range(seg_start, len(path)):
-                if state.alive(path[k]) and path[k] not in suspect_set:
+                if owner[path[k]] == -1 and path[k] not in suspect_set:
                     retired[path[k]] = True
         for v in suspects:
-            if state.alive(v):
+            if owner[v] == -1:
                 seeds.append(v)
 
 
@@ -356,9 +440,9 @@ def step2_branching(state: _State) -> None:
 
 def step3_augment(state: _State) -> None:
     movers: list[int] = []
-    for comp, total in state.components():
-        if state.long_path(comp, total) is not None:
-            movers.extend(u for u in comp if len(state.tree_adj[u]) >= 3)
+    for tree in state.forest():
+        if state.long_path(tree) is not None:
+            movers.extend(u for u in tree.nodes if len(state.tree_adj[u]) >= 3)
     for phi in sorted(movers):
         host_edge = None
         for u, _, tid in state.tree_adj[phi]:
@@ -388,12 +472,12 @@ class _Paths:
         self.pres: list[list[float]] = []
         self.eids: list[list[int]] = []
         self.color = [""] * state.n
-        for comp, total in state.components():
-            found = state.long_path(comp, total)
+        for tree in state.forest():
+            found = state.long_path(tree)
             if found is None:
                 continue
             path, pre, peids, _ = found
-            if len(path) != len(comp):
+            if len(path) != len(tree.nodes):
                 raise InvariantViolation("long tree survived the earlier steps unpathed")
             pid = len(self.paths)
             self.paths.append(path)
@@ -486,11 +570,12 @@ def step4_blue_pairs(state: _State) -> None:
 def step5_paths(state: _State) -> bool:
     grouped_tags = ("Step1", "Step2", "Step4")
     degenerate = not any(x.tag in grouped_tags for x in state.parts)
-    for comp, total in state.components():
-        adm = total
+    for tree in state.forest():
+        comp = tree.nodes
+        adm = tree.total
         path = peids = None
-        if total >= state.L:
-            path, _, peids, adm = state.diameter_path(comp)
+        if adm >= state.L:
+            path, _, peids, adm = state.tree_diameter(tree)
 
         if adm <= 6 * state.L:
             if degenerate:
@@ -521,8 +606,7 @@ def step5_paths(state: _State) -> bool:
         if path is None or len(path) != len(comp):
             raise InvariantViolation("long leftover tree is not a path")
         if path[0] > path[-1]:
-            path.reverse()
-            peids.reverse()
+            path, peids = path[::-1], peids[::-1]
         pieces: list[tuple[int, int]] = []  # [start, end] index windows
         start = 0
         acc = state.w[path[0]]

@@ -260,8 +260,10 @@ class SubdividedMst:
 
     Virtual vertices get ids n_original, n_original+1, ... in edge order.
     adj lists (neighbor, weight, id in tree_edges) per vertex in id order;
-    order is the DFS discovery order from 0 and parent[0] == 0.  Every weight
-    class is clustered over this one tree, so it is built once and only read.
+    order is the DFS discovery order from 0 and parent[0] == 0, and
+    parent_edge holds the id of each vertex's edge to its parent (-1 at 0).
+    Every weight class is clustered over this one tree, so it is built once
+    and only read.
     """
 
     n_original: int
@@ -270,6 +272,7 @@ class SubdividedMst:
     adj: list[list[tuple[int, float, int]]]
     parent: list[int]
     order: list[int]
+    parent_edge: list[int]
 
     @property
     def extended_vertex_count(self) -> int:
@@ -327,18 +330,20 @@ def subdivide_mst(g: WeightedGraph, mst_edge_ids: list[int], w_bar: float) -> Su
         adj[b].append((a, w, eid))
     parent = [-1] * next_id
     parent[0] = 0
+    parent_edge = [-1] * next_id
     order = [0]
     stack = [0]
     while stack:
         v = stack.pop()
-        for u, _, _ in adj[v]:
+        for u, _, eid in adj[v]:
             if parent[u] == -1:
                 parent[u] = v
+                parent_edge[u] = eid
                 order.append(u)
                 stack.append(u)
     if len(order) != next_id:
         raise ValueError("subdivided MST is not connected")
-    return SubdividedMst(g.n, w_bar, tree_edges, adj, parent, order)
+    return SubdividedMst(g.n, w_bar, tree_edges, adj, parent, order, parent_edge)
 
 
 # ---------------------------------------------------------------------------

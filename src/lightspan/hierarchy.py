@@ -136,38 +136,28 @@ class ClusterLevel:
         return len(self.members)
 
 
-def _representatives(clusters: list[list[int]], n_original: int) -> list[int]:
-    """Least original member per cluster, else least member."""
-    reps = []
-    for ms in clusters:
-        orig = [v for v in ms if v < n_original]
-        reps.append(min(orig) if orig else min(ms))
-    return reps
-
-
-def _induced_tree_diameter(members: list[int], adj, cluster_of: list[int], cid: int) -> float:
-    """Edge-weight diameter of cluster cid's induced (connected) subtree."""
-    if len(members) == 1:
-        return 0.0
-
-    def far(src: int) -> tuple[int, float]:
-        dist = {src: 0.0}
-        stack = [src]
-        best_v, best_d = src, 0.0
-        while stack:
-            v = stack.pop()
-            dv = dist[v]
-            for u, w, _ in adj[v]:
-                if cluster_of[u] == cid and u not in dist:
-                    dist[u] = dv + w
-                    if dist[u] > best_d:
-                        best_v, best_d = u, dist[u]
-                    stack.append(u)
-        return best_v, best_d
-
-    a, _ = far(members[0])
-    _, d = far(a)
-    return d
+def _farthest_member(
+    src: int, cid: int, adj, cluster_of: list[int], dist: list[float], came: list[int]
+) -> tuple[int, float]:
+    """Farthest member of cluster cid from src by edge weight, the first
+    reached on ties, walking the cluster's subtree depth first in adjacency
+    order.  dist and came are scratch arrays: a tree walk only has to skip
+    the node it came from."""
+    dist[src] = 0.0
+    came[src] = -1
+    best_v, best_d = src, 0.0
+    stack = [src]
+    while stack:
+        y = stack.pop()
+        cy, dy = came[y], dist[y]
+        for u, w, _ in adj[y]:
+            if u != cy and cluster_of[u] == cid:
+                d = dist[u] = dy + w
+                came[u] = y
+                if d > best_d:
+                    best_v, best_d = u, d
+                stack.append(u)
+    return best_v, best_d
 
 
 def build_level1(sub: SubdividedMst, level0_scale: float) -> ClusterLevel:
@@ -179,36 +169,61 @@ def build_level1(sub: SubdividedMst, level0_scale: float) -> ClusterLevel:
     the root (radius below level0_scale) joins an adjacent carved cluster; if
     nothing was carved the whole tree is a single cluster.  The rooted tree
     is shared by every weight class and only read here.
+
+    A cluster's potential is the edge-weight diameter of its subtree, found
+    by two farthest-node sweeps: from its first member, then from the far
+    end of the first.  The carve's own walk from the cluster's top pushes
+    nodes in the first sweep's order, so it finds the same far end (ties to
+    the first reached) and the cluster's representative, its least member;
+    the second sweep's maximum does not depend on order.  Only a cluster
+    that absorbs the root piece, or the single uncarved cluster, takes both
+    sweeps after the carve.  Each cluster but the root's meets the rest of
+    the tree through its top's parent edge, so those edges, in id order,
+    are the contracted tree.
     """
     if level0_scale < sub.w_bar:
         raise ValueError(f"level-0 scale {level0_scale} below w_bar {sub.w_bar}")
     n = sub.extended_vertex_count
-    adj, parent, order = sub.adj, sub.parent, sub.order
+    adj, parent, order, parent_edge, sub_edges = (
+        sub.adj, sub.parent, sub.order, sub.parent_edge, sub.tree_edges
+    )
 
     cluster_of = [-1] * n
+    # pending_height[v]: downward radius of v's uncarved subtree, collected
+    # from its children as they are passed
     pending_height = [0.0] * n
+    dist = [0.0] * n  # per-sweep distances from the sweep's source
+    came = [0] * n  # per-sweep predecessor, so a tree walk never turns back
     clusters: list[list[int]] = []
+    far_ends: list[int] = []
     for v in reversed(order):
-        h = 0.0
-        for u, w, _ in adj[v]:
-            if parent[u] == v and cluster_of[u] == -1:
-                c = pending_height[u] + w
-                if c > h:
-                    h = c
-        pending_height[v] = h
-        if h >= level0_scale:
-            cid = len(clusters)
-            group = [v]
-            cluster_of[v] = cid
-            dfs = [v]
-            while dfs:
-                y = dfs.pop()
-                for u, _, _ in adj[y]:
-                    if parent[u] == y and cluster_of[u] == -1:
-                        cluster_of[u] = cid
-                        group.append(u)
-                        dfs.append(u)
-            clusters.append(group)
+        h = pending_height[v]
+        if h < level0_scale:
+            if v:  # the root has no parent edge
+                c = h + sub_edges[parent_edge[v]][2]
+                p = parent[v]
+                if c > pending_height[p]:
+                    pending_height[p] = c
+            continue
+        cid = len(clusters)
+        group = [v]
+        cluster_of[v] = cid
+        dist[v] = 0.0
+        far, far_d = v, 0.0
+        dfs = [v]
+        while dfs:
+            y = dfs.pop()
+            py, dy = parent[y], dist[y]
+            for u, w, _ in adj[y]:
+                if u != py and cluster_of[u] == -1:
+                    cluster_of[u] = cid
+                    group.append(u)
+                    d = dist[u] = dy + w
+                    if d > far_d:
+                        far, far_d = u, d
+                    dfs.append(u)
+        clusters.append(group)
+        far_ends.append(far)
 
     leftover = [v for v in order if cluster_of[v] == -1]
     if leftover:
@@ -216,6 +231,8 @@ def build_level1(sub: SubdividedMst, level0_scale: float) -> ClusterLevel:
             clusters.append(list(order))
             for v in order:
                 cluster_of[v] = 0
+            target = 0
+            far_ends.append(0)
         else:
             # attach the root piece to the adjacent carved cluster of least id
             target = None
@@ -229,23 +246,26 @@ def build_level1(sub: SubdividedMst, level0_scale: float) -> ClusterLevel:
             for v in leftover:
                 cluster_of[v] = target
                 clusters[target].append(v)
+        # the cluster has grown past its carve: its first sweep starts over
+        far_ends[target] = -1
 
-    potentials = [
-        _induced_tree_diameter(ms, adj, cluster_of, cid) for cid, ms in enumerate(clusters)
+    potentials = []
+    for cid, a in enumerate(far_ends):
+        if a == -1:
+            a = _farthest_member(clusters[cid][0], cid, adj, cluster_of, dist, came)[0]
+        potentials.append(_farthest_member(a, cid, adj, cluster_of, dist, came)[1])
+    cut = sorted(
+        parent_edge[ms[0]] for cid, ms in enumerate(clusters) if cluster_of[parent[ms[0]]] != cid
+    )
+    tree_edges = [
+        (cluster_of[a], cluster_of[b], w, eid) for eid in cut for a, b, w in (sub_edges[eid],)
     ]
-    reps = _representatives(clusters, sub.n_original)
-
-    tree_edges: list[tuple[int, int, float, int]] = []
-    for eid, (a, b, w) in enumerate(sub.tree_edges):
-        ca, cb = cluster_of[a], cluster_of[b]
-        if ca != cb:
-            tree_edges.append((ca, cb, w, eid))
 
     return ClusterLevel(
         prev_scale=level0_scale,
         members=clusters,
         potentials=potentials,
-        representatives=reps,
+        representatives=[min(ms) for ms in clusters],
         tree_edges=tree_edges,
         cluster_of=cluster_of[: sub.n_original],
         collapse=[False] * len(clusters),
@@ -427,7 +447,7 @@ def contract_level(level: ClusterLevel, subgraphs: "ClusteringOutcome") -> Clust
         prev_scale=subgraphs.level_scale,
         members=members,
         potentials=list(subgraphs.adm),
-        representatives=_representatives(members, len(level.cluster_of)),
+        representatives=[min(ms) for ms in members],
         tree_edges=tree_edges,
         cluster_of=[new_of[c] for c in level.cluster_of],
         collapse=list(subgraphs.collapse),

@@ -23,6 +23,44 @@ class NotSpanning(ValueError):
     """The candidate edge set fails to connect some demanded pair."""
 
 
+# Bounds on the distance a steered search may report, in units of the
+# subgraph's least edge weight; see _steered_distance.
+STEERED_LIMIT = 2.0**20
+# relative shrink that keeps a backward distance below forward float sums
+_SHRINK = 1 - 1e-9
+
+
+def _steered_distance(adj, source: int, target: int, cutoff: float, limit: float) -> float:
+    """Distance from source to target: a forward A* steered from the target.
+
+    A backward search from the target, stopped at `cutoff`, gives each
+    vertex it settles a distance to the target; every other vertex is
+    farther than `cutoff`.  Shrunk by a relative 1e-9, these make the
+    forward search's potential.  The forward search sets the bits, so its
+    result is the plain search's when the potential stays below the float
+    sum of a shortest path's remaining part, which `dijkstra` requires.
+
+    Why it does, along a shortest path of j edges left after a vertex
+    reached at d: both that part's forward float sum and its backward sum
+    (which bounds the backward distance) are within about j ulps of the
+    path's length D from its exact remaining length r.  So the potential
+    is low enough once 1e-9 r exceeds about 2j ulps of D.  Every edge
+    weighs at least H's least weight w_min, so r >= j w_min, and that
+    holds whenever D <= 2**20 w_min, with room to spare.  The forward
+    search reports D >= the true distance; so a reported D <= `limit` =
+    2**20 w_min is exact, and any larger D is searched again without a
+    potential.  Graphs from `normalize` have w_min = 1, so the limit is
+    about 1.05e6 there; the cutoff only sets the cost.
+    """
+    back = dijkstra(adj, target, cutoff=cutoff)
+    beyond = cutoff * _SHRINK
+    potential = [beyond if b == math.inf else b * _SHRINK for b in back]
+    d = dijkstra(adj, source, targets=(target,), potential=potential.__getitem__)[target]
+    if d > limit:
+        d = dijkstra(adj, source, targets=(target,))[target]
+    return d
+
+
 def measure_stretch(
     g: WeightedGraph,
     h_edge_ids: list[int],
@@ -37,15 +75,24 @@ def measure_stretch(
     source's demanded upper endpoints are settled; the witness is the lowest
     edge id attaining the maximum.
 
+    A sample of demands (`edge_ids` given) mostly has one demanded endpoint
+    t per source.  Such a source gets a search steered from t
+    (`_steered_distance`): a backward search from t up to c = w/2 times
+    the largest ratio so far (at least 1), then a forward A* whose
+    potential is that backward distance, shrunk by a relative 1e-9, or c
+    shrunk alike where the backward search stopped.
+
     With `lower_bound(v, t)`, a lower bound on the distance from v to t that
     holds in float arithmetic (see `dijkstra`'s `potential`), each demand
     gets its own A* search from its lower to its upper endpoint instead.
-    The searches run in the same direction, so every distance, and with it
-    the result, is bit for bit the same; they pay off when a source has few
-    demanded endpoints, as in a sparse sample of pairs.
+
+    Every search runs from the lower endpoint and yields the plain search's
+    distance bit for bit, so the result does not depend on which is used.
     """
     demands = list(range(g.m)) if edge_ids is None else sorted(edge_ids)
-    adj = WeightedGraph(g.n, [g.edges[i] for i in h_edge_ids]).weighted_adjacency()
+    h_edges = [g.edges[i] for i in h_edge_ids]
+    adj = WeightedGraph(g.n, h_edges).weighted_adjacency()
+    limit = STEERED_LIMIT * min((w for _, _, w in h_edges), default=0.0)
     by_src: dict[int, list[int]] = {}
     for eid in demands:
         u, v, _ = g.edges[eid]
@@ -53,8 +100,14 @@ def measure_stretch(
     best, witness = -math.inf, -1
     for src in sorted(by_src):
         eids = by_src[src]
+        ends = {max(g.edges[eid][:2]) for eid in eids}
         if lower_bound is None:
-            dist = dijkstra(adj, src, targets={max(g.edges[eid][:2]) for eid in eids})
+            if edge_ids is not None and len(ends) == 1:
+                (t,) = ends
+                cutoff = g.edges[eids[0]][2] / 2 * max(1.0, best)
+                dist = {t: _steered_distance(adj, src, t, cutoff, limit)}
+            else:
+                dist = dijkstra(adj, src, targets=ends)
         for eid in eids:
             u, v, w = g.edges[eid]
             t = max(u, v)
@@ -126,9 +179,72 @@ def _int_keys(d: dict) -> dict:
     # traces that went through JSON come back with string keys
     return {int(k): v for k, v in d.items()}
 
+
 PREFIX_DIAMETER_CAP = 500
 # top-level fields of a trace that check_hierarchy reads
 TRACE_FIELDS = ("per_sigma", "mst_weight", "edges", "n_extended", "sub_tree_edges", "light_ids")
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_index(x, bound: int) -> bool:
+    return _is_int(x) and 0 <= x < bound
+
+
+def _list_of(item) -> Callable[[object], bool]:
+    return lambda xs: isinstance(xs, (list, tuple)) and all(item(x) for x in xs)
+
+
+def _check_trace_shape(trace: dict) -> None:
+    """Raise FormatError naming the first field that check_hierarchy could
+    not read: a wrong type, a missing ledger or level entry, or a vertex or
+    edge id out of range."""
+
+    def need(ok: bool, field: str, what: str) -> None:
+        if not ok:
+            raise FormatError(None, f"trace field {field} must be {what}")
+
+    n_ext = trace["n_extended"]
+    need(_is_int(n_ext) and n_ext >= 0, "n_extended", "a nonnegative integer")
+    need(_is_number(trace["mst_weight"]), "mst_weight", "a number")
+    edge = _list_of(lambda e: isinstance(e, (list, tuple)) and len(e) == 3
+                    and _is_index(e[0], n_ext) and _is_index(e[1], n_ext) and _is_number(e[2]))
+    for name in ("edges", "sub_tree_edges"):
+        need(edge(trace[name]), name, "a list of [u, v, w] with u, v below n_extended")
+    m = len(trace["edges"])
+    edge_ids = _list_of(lambda x: _is_index(x, m))
+    need(edge_ids(trace["light_ids"]), "light_ids", "a list of ids of edges")
+    numbers = _list_of(_is_number)
+    per_sigma = trace["per_sigma"]
+    need(isinstance(per_sigma, dict), "per_sigma", "an object keyed by weight class")
+    for sigma, cls in per_sigma.items():
+        field = f"per_sigma.{sigma}"
+        need(str(sigma).lstrip("-").isdigit(), field, "keyed by an integer")
+        need(isinstance(cls, dict) and isinstance(cls.get("ledger"), dict)
+             and isinstance(cls.get("levels"), list), field, "an object with ledger and levels")
+        ledger, levels = cls["ledger"], cls["levels"]
+        need(numbers(ledger.get("phi_totals")) and len(ledger["phi_totals"]) > 0,
+             f"{field}.ledger.phi_totals", "a nonempty list of numbers")
+        need(numbers(ledger.get("deltas")), f"{field}.ledger.deltas", "a list of numbers")
+        for name in ("local_changes", "corrected_changes"):
+            need(_list_of(numbers)(ledger.get(name)), f"{field}.ledger.{name}", "a list of number lists")
+            need(len(ledger[name]) <= len(levels), f"{field}.levels", f"a row per {name} entry")
+        for j, row in enumerate(levels):
+            here = f"{field}.levels.{j}"
+            need(isinstance(row, dict), here, "an object")
+            need(_is_int(row.get("i")), f"{here}.i", "an integer")
+            need(_is_number(row.get("scale")), f"{here}.scale", "a number")
+            need(_list_of(_list_of(lambda v: _is_index(v, n_ext)))(row.get("members")),
+                 f"{here}.members", "a list of vertex lists")
+            need(numbers(row.get("potentials")) and len(row["potentials"]) >= len(row["members"]),
+                 f"{here}.potentials", "a number per member list")
+            need(edge_ids(row.get("h_i")), f"{here}.h_i", "a list of ids of edges")
 
 
 def check_hierarchy(trace: dict) -> VerificationReport:
@@ -139,13 +255,15 @@ def check_hierarchy(trace: dict) -> VerificationReport:
     per-group drops; every corrected per-group drop is nonnegative up to
     rounding; and (on small instances) each cluster's induced diameter in
     the already-built edge set is bounded by its potential.  A trace that
-    is not an object or lacks a field of TRACE_FIELDS raises FormatError.
+    is not an object, lacks a field of TRACE_FIELDS or holds a field of the
+    wrong shape raises FormatError.
     """
     if not isinstance(trace, dict):
         raise FormatError(None, f"trace must be a JSON object, got {type(trace).__name__}")
     missing = [key for key in TRACE_FIELDS if key not in trace]
     if missing:
         raise FormatError(None, f"trace is missing {', '.join(missing)}")
+    _check_trace_shape(trace)
     report = VerificationReport()
     per_sigma = _int_keys(trace["per_sigma"])
     mst_w = trace["mst_weight"]

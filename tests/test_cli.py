@@ -322,3 +322,32 @@ def test_sweep_epsilon_param(tmp_path):
     with out.open() as fh:
         rows = list(csv.DictReader(fh))
     assert [r["epsilon"] for r in rows] == ["0.1", "0.2"]
+
+
+@pytest.mark.parametrize(
+    "field, value, named",
+    [
+        ("per_sigma", [], "per_sigma must be an object"),
+        ("phi_totals", "x", "ledger.phi_totals must be"),
+        ("members", [[0, "a"]], "levels.0.members must be"),
+        ("edges", [[0, 1]], "edges must be"),
+    ],
+)
+def test_trace_with_a_wrong_nested_shape_is_a_format_error(tmp_path, capsys, field, value, named):
+    g, trace = tmp_path / "g.graph", tmp_path / "trace.json"
+    run("gen", "graph", "--n", "12", "--m", "30", "--out", str(g))
+    run("build", "general", str(g), "--out", str(tmp_path / "h.graph"), "--trace", str(trace))
+    blob = json.loads(trace.read_text())
+    cls = next(iter(blob["per_sigma"].values()))
+    if field == "phi_totals":
+        cls["ledger"][field] = value
+    elif field == "members":
+        cls["levels"][0][field] = value
+    else:
+        blob[field] = value
+    trace.write_text(json.dumps(blob))
+    capsys.readouterr()
+    assert run("verify", "trace", str(trace)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+

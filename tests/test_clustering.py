@@ -279,3 +279,56 @@ def test_unit_grid_regression():
     out = cluster_level(cg, EPS, strict=True)
     check_partition(cg, out)
     check_windows(cg, out)
+
+
+# ---------------------------------------------------------------------------
+# outcome pin: every field but the counters, bit for bit
+
+
+CLUSTERING_PIN = "ca4bfcadfcdab8e864230e92bc1c2ab15a3aa07100afba7a7934218672c9e3ad"
+
+
+def test_clustering_outcomes_are_pinned(monkeypatch):
+    import dataclasses
+    import hashlib
+
+    import lightspan.pipeline as pipeline
+    from lightspan.generate import random_connected_graph
+
+    outs = []
+    seen = {"step3": 0, "step4": 0}
+
+    def record(out):
+        outs.append([getattr(out, f.name) for f in dataclasses.fields(out) if f.name != "counters"])
+        seen["step3"] += out.counters["step3"]
+        seen["step4"] += out.tags.count("Step4")
+        return out
+
+    real = pipeline.cluster_level
+    monkeypatch.setattr(pipeline, "cluster_level", lambda cg, eps, strict=False: record(real(cg, eps, strict)))
+    for n, m, seed in ((300, 1200, 1), (600, 2400, 2), (1000, 4000, 3)):
+        pipeline.light_spanner_general(random_connected_graph(n, m, seed), pipeline.PipelineConfig())
+    for seed in range(6):
+        record(cluster_level(_random_cluster_graph(seed), EPS, strict=True))
+    assert seen["step3"] and seen["step4"]  # levels where step 3 moves nodes and step 4 forms parts
+    assert hashlib.sha256(repr(outs).encode()).hexdigest() == CLUSTERING_PIN
+
+
+def test_walks_reach_each_node_a_bounded_number_of_times(monkeypatch):
+    # component walks (scan) plus farthest and ball walks (sweep) per
+    # clustered node; walking every forest anew in steps 2-5 took 13.0
+    import lightspan.pipeline as pipeline
+    from lightspan.generate import random_connected_graph
+
+    totals = {"walked": 0, "nodes": 0}
+    real = pipeline.cluster_level
+
+    def count(cg, eps, strict=False):
+        out = real(cg, eps, strict)
+        totals["walked"] += out.counters["scan"] + out.counters["sweep"]
+        totals["nodes"] += cg.n_nodes
+        return out
+
+    monkeypatch.setattr(pipeline, "cluster_level", count)
+    pipeline.light_spanner_general(random_connected_graph(2500, 10000, 0), pipeline.PipelineConfig())
+    assert totals["walked"] < 10 * totals["nodes"]

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import weighted_graph
-from lightspan.graphs import build_mst, subdivide_mst
+from lightspan.graphs import WeightedGraph, build_mst, subdivide_mst
 from lightspan.hierarchy import (
     UnsupportedShape,
     augmented_diameter,
@@ -353,3 +353,39 @@ def test_cluster_map_matches_members(seed, n):
         groups=[ids[j::k] for j in range(k)], level_scale=3.2, adm=[0.0] * k, collapse=[False] * k
     )
     _assert_cluster_map_matches_members(contract_level(lvl, outcome), sub.n_original)
+
+
+# ---------------------------------------------------------------------------
+# level-1 pin: build_level1's output on seeded trees, bit for bit
+
+
+def _level1_pin_cases():
+    """(sub, scale) pairs: uniform weights, tied weights cut into equal pieces,
+    scales that carve many clusters, merge the root piece, or carve nothing."""
+    for seed in range(4):
+        g = weighted_graph(60, 150, seed)
+        ids = build_mst(g)
+        for w_bar in (0.5, 2.0):
+            sub = subdivide_mst(g, ids, w_bar)
+            for scale in (w_bar, 2.5, 6.0, 20.0, 1e9):
+                yield sub, scale
+        rng = random.Random(seed)
+        pairs = weighted_graph(40, 90, seed).edges
+        tied = WeightedGraph(40, [(u, v, rng.choice((1.0, 2.0, 3.0))) for u, v, _ in pairs])
+        sub = subdivide_mst(tied, build_mst(tied), 1.0)
+        for scale in (1.0, 2.0, 3.0, 7.0):
+            yield sub, scale
+
+
+LEVEL1_PIN = "d971d7563b7c3fad36b5b0bc59731545275848d202f645eee717bd40325a05ef"
+
+
+def test_level1_outputs_are_pinned():
+    outs, merged, whole = [], 0, 0
+    for sub, scale in _level1_pin_cases():
+        lvl = build_level1(sub, scale)
+        outs.append((lvl.members, lvl.potentials, lvl.representatives, lvl.tree_edges, lvl.cluster_of))
+        whole += lvl.cluster_count == 1
+        merged += lvl.cluster_count > 1 and lvl.members[lvl.cluster_of[0]][0] != 0
+    assert merged and whole  # the root-piece merge and the no-carve cluster both occur
+    assert hashlib.sha256(repr(outs).encode()).hexdigest() == LEVEL1_PIN

@@ -261,3 +261,45 @@ def test_report_round_trip():
     again = json.loads(rep.to_json())
     assert again["passed"] is False
     assert len(again["checks"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# searches steered from the target
+
+
+def test_steered_searches_equal_full_search_oracle(monkeypatch):
+    # sampled demands mostly have one endpoint per source, which takes the
+    # backward-then-A* search; it must give the very floats a full search gives
+    import lightspan.verify as verify
+
+    seen = []  # (distance, limit) of each steered search
+
+    def spy(adj, source, target, cutoff, limit):
+        d = real(adj, source, target, cutoff, limit)
+        seen.append((d, limit))
+        return d
+
+    real = verify._steered_distance
+    monkeypatch.setattr(verify, "_steered_distance", spy)
+    for seed in range(30):
+        rng = random.Random(seed)
+        n = rng.randrange(20, 120)
+        g = weighted_graph(n, rng.randrange(2 * n, min(4 * n, n * (n - 1) // 2)), seed)
+        if seed % 3 == 0:  # ties everywhere
+            g = WeightedGraph(n, [(u, v, rng.choice((0.1, 0.2, 0.3))) for u, v, _ in g.edges])
+        elif seed % 3 == 1:  # a weight ratio of 1e6; detours over heavy edges pass the limit
+            heavy = [1.0, 1e6] + [rng.uniform(6e5, 1e6) for _ in g.edges[2:]]
+            g = WeightedGraph(n, [(u, v, w) for (u, v, _), w in zip(g.edges, heavy)])
+        kept = sorted(set(build_mst(g)) | set(rng.sample(range(g.m), rng.randrange(0, g.m // 2))))
+        demands = sorted(rng.sample(range(g.m), rng.randrange(1, n // 3)))
+        got = measure_stretch(g, kept, edge_ids=demands)
+        assert got == oracles.full_search_stretch(g.n, g.edges, kept, demands)
+    assert any(d <= limit for d, limit in seen)  # the steered distance was kept
+    assert any(d > limit for d, limit in seen)  # and searched again above the limit
+
+
+def test_steered_search_without_a_path_is_not_spanning():
+    g = WeightedGraph(5, [(0, 1, 1.0), (1, 2, 2.0), (3, 4, 1.0), (2, 3, 4.0), (0, 4, 9.0)])
+    assert oracles.full_search_stretch(g.n, g.edges, [0, 1, 2], [3])[0] == math.inf
+    with pytest.raises(NotSpanning):
+        measure_stretch(g, [0, 1, 2], edge_ids=[3])
