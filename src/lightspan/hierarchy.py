@@ -174,12 +174,11 @@ def build_level1(sub: SubdividedMst, level0_scale: float) -> ClusterLevel:
     by two farthest-node sweeps: from its first member, then from the far
     end of the first.  The carve's own walk from the cluster's top pushes
     nodes in the first sweep's order, so it finds the same far end (ties to
-    the first reached) and the cluster's representative, its least member;
-    the second sweep's maximum does not depend on order.  Only a cluster
-    that absorbs the root piece, or the single uncarved cluster, takes both
-    sweeps after the carve.  Each cluster but the root's meets the rest of
-    the tree through its top's parent edge, so those edges, in id order,
-    are the contracted tree.
+    the first reached); the second sweep's maximum does not depend on order.
+    Only a cluster that absorbs the root piece, or the single uncarved
+    cluster, takes both sweeps after the carve.  Each cluster but the
+    root's meets the rest of the tree through its top's parent edge, so
+    those edges, in id order, are the contracted tree.
     """
     if level0_scale < sub.w_bar:
         raise ValueError(f"level-0 scale {level0_scale} below w_bar {sub.w_bar}")
@@ -231,8 +230,7 @@ def build_level1(sub: SubdividedMst, level0_scale: float) -> ClusterLevel:
             clusters.append(list(order))
             for v in order:
                 cluster_of[v] = 0
-            target = 0
-            far_ends.append(0)
+            far_ends.append(-1)  # both sweeps still owed
         else:
             # attach the root piece to the adjacent carved cluster of least id
             target = None
@@ -246,8 +244,8 @@ def build_level1(sub: SubdividedMst, level0_scale: float) -> ClusterLevel:
             for v in leftover:
                 cluster_of[v] = target
                 clusters[target].append(v)
-        # the cluster has grown past its carve: its first sweep starts over
-        far_ends[target] = -1
+            # grown past its carve, the cluster owes its first sweep again
+            far_ends[target] = -1
 
     potentials = []
     for cid, a in enumerate(far_ends):

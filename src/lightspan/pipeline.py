@@ -297,8 +297,12 @@ def _certify(
 
     Up to the cap every input edge is a demand.  Above it, the demands are
     the MST edges plus a seeded sample of sample_size input edges, and the
-    search goes through measure_stretch's alias batched_stretch.  Both
-    cases run in pure Python.
+    search goes through measure_stretch's alias batched_stretch.  A sampled
+    source mostly has one demanded endpoint, so its search is steered from
+    that endpoint: a bounded backward search whose distances guide a
+    forward A* (see verify.measure_stretch); the weights here come from
+    normalize, so the least is 1 and every such search is kept up to a
+    distance of 2**20.  Both cases run in pure Python.
     """
     from .verify import measure_stretch
 

@@ -371,13 +371,14 @@ def _level1_pin_cases():
                 yield sub, scale
         rng = random.Random(seed)
         pairs = weighted_graph(40, 90, seed).edges
-        tied = WeightedGraph(40, [(u, v, rng.choice((1.0, 2.0, 3.0))) for u, v, _ in pairs])
-        sub = subdivide_mst(tied, build_mst(tied), 1.0)
-        for scale in (1.0, 2.0, 3.0, 7.0):
-            yield sub, scale
+        for weights, w_bar in (((1.0, 2.0, 3.0), 1.0), ((0.1, 0.2, 0.3), 0.3)):
+            tied = WeightedGraph(40, [(u, v, rng.choice(weights)) for u, v, _ in pairs])
+            sub = subdivide_mst(tied, build_mst(tied), w_bar)
+            for k in (1, 2, 3, 7):
+                yield sub, k * w_bar
 
 
-LEVEL1_PIN = "d971d7563b7c3fad36b5b0bc59731545275848d202f645eee717bd40325a05ef"
+LEVEL1_PIN = "d3804c8514d44523702432bbf24802f4a6e3438b2b65399fec1aecd727f61241"
 
 
 def test_level1_outputs_are_pinned():
