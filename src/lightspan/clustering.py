@@ -12,8 +12,9 @@ pays for the edges kept at this level.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .hierarchy import POTENTIAL_RATIO, ClusterGraph, InvariantViolation, augmented_diameter
 
@@ -73,10 +74,6 @@ class _State:
         for tid, (a, b, wt, _) in enumerate(cg.tree_edges):
             self.tree_adj[a].append((b, wt, tid))
             self.tree_adj[b].append((a, wt, tid))
-        self.class_adj: list[list[tuple[int, float, int]]] = [[] for _ in range(n)]
-        for cid, (a, b, wt, _) in enumerate(cg.class_edges):
-            self.class_adj[a].append((b, wt, cid))
-            self.class_adj[b].append((a, wt, cid))
         self.owner = [-1] * n
         self.parts: list[Subgraph] = []
         # per-walk scratch: a node was reached by the current walk when its
@@ -255,11 +252,22 @@ class _State:
 def step1_high_nodes(state: _State) -> list[int]:
     """Group every heavily-connected node and its class neighborhood into stars."""
     thresh = 2.0 * state.g / state.eps
-    high = [v for v in range(state.n) if len(state.class_adj[v]) >= thresh]
+    # most levels have no heavy node: count class degrees, and build the
+    # class adjacency only when a node reaches the threshold
+    edges = state.cg.class_edges
+    degree = Counter(map(itemgetter(0), edges))
+    degree.update(map(itemgetter(1), edges))
+    high = sorted(v for v, d in degree.items() if d >= thresh)
+    if not high:
+        return high
+    class_adj: list[list[tuple[int, float, int]]] = [[] for _ in range(state.n)]
+    for cid, (a, b, wt, _) in enumerate(edges):
+        class_adj[a].append((b, wt, cid))
+        class_adj[b].append((a, wt, cid))
     blocked = [False] * state.n
 
     for center in high:
-        closed = [center] + [u for u, _, _ in state.class_adj[center]]
+        closed = [center] + [u for u, _, _ in class_adj[center]]
         if any(blocked[v] for v in closed):
             continue
         xid = state.new_part("Step1")
@@ -267,22 +275,22 @@ def step1_high_nodes(state: _State) -> list[int]:
             blocked[v] = True
             if state.owner[v] == -1:
                 state.assign(v, xid)
-        for u, _, cid in state.class_adj[center]:
+        for u, _, cid in class_adj[center]:
             state.parts[xid].class_eids.append(cid)
         state.tick("step1", len(closed))
 
     # leftover heavy nodes, then their neighbors, join the least grouped
     # class neighbor's part
-    for v in high + [u for center in high for u, _, _ in state.class_adj[center]]:
+    for v in high + [u for center in high for u, _, _ in class_adj[center]]:
         if state.owner[v] != -1:
             continue
         host = min(
-            (u for u, _, _ in state.class_adj[v] if state.owner[u] != -1),
+            (u for u, _, _ in class_adj[v] if state.owner[u] != -1),
             default=None,
         )
         if host is None:
             raise InvariantViolation("ungrouped step-1 node with no grouped neighbor")
-        cid = next(c for u, _, c in state.class_adj[v] if u == host)
+        cid = next(c for u, _, c in class_adj[v] if u == host)
         xid = state.owner[host]
         state.assign(v, xid)
         state.parts[xid].class_eids.append(cid)
@@ -680,19 +688,15 @@ def cluster_level(cg: ClusterGraph, eps: float, strict: bool = False) -> Cluster
     adm: list[float] = []
     local: list[float] = []
     corrected: list[float] = []
+    node_weights, tree_edges, class_edges = cg.node_weights, cg.tree_edges, cg.class_edges
     for x in state.parts:
-        nw = {v: cg.node_weights[v] for v in x.nodes}
-        edges = [
-            (cg.tree_edges[t][0], cg.tree_edges[t][1], cg.tree_edges[t][2]) for t in x.tree_eids
-        ]
-        edges += [
-            (cg.class_edges[c][0], cg.class_edges[c][1], cg.class_edges[c][2])
-            for c in x.class_eids
-        ]
+        nw = {v: node_weights[v] for v in x.nodes}
+        edges = [tree_edges[t][:3] for t in x.tree_eids]
+        edges += [class_edges[c][:3] for c in x.class_eids]
         a = augmented_diameter(nw, edges)
         d = sum(nw.values()) - a
         # corrected drop: the local drop plus the tree edges x consumes
-        dplus = d + sum(cg.tree_edges[t][2] for t in x.tree_eids)
+        dplus = d + sum(tree_edges[t][2] for t in x.tree_eids)
         adm.append(a)
         local.append(d)
         corrected.append(dplus)
