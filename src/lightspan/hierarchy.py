@@ -177,8 +177,8 @@ def build_level1(sub: SubdividedMst, level0_scale: float) -> ClusterLevel:
     the first reached); the second sweep's maximum does not depend on order.
     Only a cluster that absorbs the root piece, or the single uncarved
     cluster, takes both sweeps after the carve.  Each cluster but the
-    root's meets the rest of the tree through its top's parent edge, so
-    those edges, in id order, are the contracted tree.
+    root's meets the rest of the tree through its top's parent edge, taken
+    at the carve, so those edges, in id order, are the contracted tree.
     """
     if level0_scale < sub.w_bar:
         raise ValueError(f"level-0 scale {level0_scale} below w_bar {sub.w_bar}")
@@ -195,6 +195,7 @@ def build_level1(sub: SubdividedMst, level0_scale: float) -> ClusterLevel:
     came = [0] * n  # per-sweep predecessor, so a tree walk never turns back
     clusters: list[list[int]] = []
     far_ends: list[int] = []
+    cut: list[int] = []  # parent edges of carved tops: the contracted tree
     for v in reversed(order):
         h = pending_height[v]
         if h < level0_scale:
@@ -223,6 +224,8 @@ def build_level1(sub: SubdividedMst, level0_scale: float) -> ClusterLevel:
                     dfs.append(u)
         clusters.append(group)
         far_ends.append(far)
+        if v:
+            cut.append(parent_edge[v])
 
     leftover = [v for v in order if cluster_of[v] == -1]
     if leftover:
@@ -244,17 +247,17 @@ def build_level1(sub: SubdividedMst, level0_scale: float) -> ClusterLevel:
             for v in leftover:
                 cluster_of[v] = target
                 clusters[target].append(v)
-            # grown past its carve, the cluster owes its first sweep again
+            # grown past its carve, the cluster owes its first sweep again,
+            # and its top's parent edge, into the root piece, is now inside
             far_ends[target] = -1
+            cut.remove(parent_edge[clusters[target][0]])
 
     potentials = []
     for cid, a in enumerate(far_ends):
         if a == -1:
             a = _farthest_member(clusters[cid][0], cid, adj, cluster_of, dist, came)[0]
         potentials.append(_farthest_member(a, cid, adj, cluster_of, dist, came)[1])
-    cut = sorted(
-        parent_edge[ms[0]] for cid, ms in enumerate(clusters) if cluster_of[parent[ms[0]]] != cid
-    )
+    cut.sort()
     tree_edges = [
         (cluster_of[a], cluster_of[b], w, eid) for eid in cut for a, b, w in (sub_edges[eid],)
     ]
