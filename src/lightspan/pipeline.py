@@ -300,9 +300,9 @@ def _certify(
     search goes through measure_stretch's alias batched_stretch.  A sampled
     source mostly has one demanded endpoint, so its search is steered from
     that endpoint: a bounded backward search whose distances guide a
-    forward A* (see verify.measure_stretch); the weights here come from
-    normalize, so the least is 1 and every such search is kept up to a
-    distance of 2**20.  Both cases run in pure Python.
+    forward A* (see verify.measure_stretch).  normalize makes the least
+    weight 1, so a steered distance up to 2**20 is kept without a second
+    search.  Both cases run in pure Python.
     """
     from .verify import measure_stretch
 

@@ -15,6 +15,7 @@ import json
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .graphs import FormatError, WeightedGraph, dijkstra
 
@@ -23,8 +24,8 @@ class NotSpanning(ValueError):
     """The candidate edge set fails to connect some demanded pair."""
 
 
-# Bounds on the distance a steered search may report, in units of the
-# subgraph's least edge weight; see _steered_distance.
+# Largest distance, in units of the subgraph's least edge weight, that a
+# steered search keeps without searching again; see _steered_distance.
 STEERED_LIMIT = 2.0**20
 # relative shrink that keeps a backward distance below forward float sums
 _SHRINK = 1 - 1e-9
@@ -92,7 +93,7 @@ def measure_stretch(
     demands = list(range(g.m)) if edge_ids is None else sorted(edge_ids)
     h_edges = [g.edges[i] for i in h_edge_ids]
     adj = WeightedGraph(g.n, h_edges).weighted_adjacency()
-    limit = STEERED_LIMIT * min((w for _, _, w in h_edges), default=0.0)
+    limit = STEERED_LIMIT * min(map(itemgetter(2), h_edges), default=0.0)
     by_src: dict[int, list[int]] = {}
     for eid in demands:
         u, v, _ = g.edges[eid]
