@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 
@@ -201,6 +202,8 @@ def cmd_verify(args) -> int:
         print(report.to_json())
         return 0 if report.passed else 1
 
+    if args.stretch is not None and not math.isfinite(args.stretch):
+        raise ValueError(f"--stretch must be finite, got {args.stretch}")
     g = parse_graph(_read(args.input))
     h = parse_graph(_read(args.spanner))
     if h.n != g.n:

@@ -16,6 +16,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from operator import itemgetter
 
+from .graphs import indexed_adjacency
 from .hierarchy import POTENTIAL_RATIO, ClusterGraph, InvariantViolation, augmented_diameter
 
 # below this, every per-step constant from the analysis holds literally
@@ -70,22 +71,19 @@ class _State:
         n = cg.n_nodes
         self.n = n
         self.w = cg.node_weights
-        self.tree_adj: list[list[tuple[int, float, int]]] = [[] for _ in range(n)]
-        for tid, (a, b, wt, _) in enumerate(cg.tree_edges):
-            self.tree_adj[a].append((b, wt, tid))
-            self.tree_adj[b].append((a, wt, tid))
+        self.tree_adj = cg.tree_adj
         self.owner = [-1] * n
         self.parts: list[Subgraph] = []
         # per-walk scratch: a node was reached by the current walk when its
-        # mark equals the walk's stamp; depth and up hold what that walk found
+        # mark equals the walk's stamp; depth and up hold its distance and tree edge
         self.stamp = 0
         self.mark = [0] * n
         self.depth = [0.0] * n
-        self.up: list[tuple[int, int] | None] = [None] * n
+        self.up = [-1] * n
         self._forest: list[_Tree] | None = None
         self.counters: dict[str, int] = {
-            "scan": 0,  # nodes popped by component walks
-            "sweep": 0,  # nodes reached by farthest and ball walks
+            "scan": 0,  # nodes reached by forest and re-seed component walks
+            "sweep": 0,  # nodes reached by diameter sweeps and ball walks
             "step1": 0,
             "step2": 0,
             "step3": 0,
@@ -112,14 +110,15 @@ class _State:
     # ------------------------------------------------------------------
     # forest helpers over ungrouped nodes
 
-    def component(self, seed: int) -> tuple[list[int], float, int]:
+    def component(self, seed: int, counter: str = "scan") -> tuple[list[int], float, int]:
         """Nodes of seed's ungrouped component in walk order, its total
-        augmented weight, and its deepest node from seed.
-
-        The deepest node is farthest(seed)'s: distances along a tree path do
-        not depend on the walk order, and ties go to the least id.
-        """
-        tree_adj, owner, w, depth, mark = self.tree_adj, self.owner, self.w, self.depth, self.mark
+        augmented weight, and its deepest node from seed (ties to the least
+        id).  Each reached node's augmented distance from seed is left in
+        depth and its tree edge towards seed in up; counters[counter] counts
+        the nodes."""
+        tree_adj, owner, w, depth, mark, up = (
+            self.tree_adj, self.owner, self.w, self.depth, self.mark, self.up
+        )
         self.stamp += 1
         stamp = self.stamp
         mark[seed] = stamp
@@ -130,17 +129,18 @@ class _State:
         while stack:
             v = stack.pop()
             dv = depth[v]
-            for u, wt, _ in tree_adj[v]:
+            for u, wt, tid in tree_adj[v]:
                 if owner[u] == -1 and mark[u] != stamp:
                     mark[u] = stamp
                     nodes.append(u)
                     wu = w[u]
                     total += wt + wu
                     d = depth[u] = dv + wt + wu
+                    up[u] = tid
                     if d > best_d or (d == best_d and u < best):
                         best, best_d = u, d
                     stack.append(u)
-        self.counters["scan"] += len(nodes)
+        self.counters[counter] += len(nodes)
         return nodes, total, best
 
     def forest(self) -> list[_Tree]:
@@ -188,35 +188,6 @@ class _State:
             self.assign(v, xid)
         self.parts[xid].tree_eids.extend(eids[lo:hi])
 
-    def farthest(self, src: int) -> tuple[int, float]:
-        """Deepest node by augmented distance in src's ungrouped component
-        (ties to the least id) and its distance.  Each reached node's distance
-        is left in depth and its (parent, tree edge id) in up."""
-        tree_adj, owner, w, depth, mark, up = (
-            self.tree_adj, self.owner, self.w, self.depth, self.mark, self.up
-        )
-        self.stamp += 1
-        stamp = self.stamp
-        mark[src] = stamp
-        best, best_d = src, w[src]
-        depth[src] = best_d
-        stack = [src]
-        reached = 1
-        while stack:
-            v = stack.pop()
-            dv = depth[v]
-            for u, wt, tid in tree_adj[v]:
-                if owner[u] == -1 and mark[u] != stamp:
-                    mark[u] = stamp
-                    d = depth[u] = dv + wt + w[u]
-                    up[u] = (v, tid)
-                    if d > best_d or (d == best_d and u < best):
-                        best, best_d = u, d
-                    stack.append(u)
-                    reached += 1
-        self.counters["sweep"] += reached
-        return best, best_d
-
     def diameter_path(
         self, nodes: list[int], far: int | None = None
     ) -> tuple[list[int], list[float], list[int], float]:
@@ -229,20 +200,23 @@ class _State:
         the least node.
         """
         least = min(nodes)
-        a = far if far is not None and nodes[0] == least else self.farthest(least)[0]
-        b, adm = self.farthest(a)
-        up = self.up
+        a = far if far is not None and nodes[0] == least else self.component(least, "sweep")[2]
+        b = self.component(a, "sweep")[2]
+        up, tree_edges = self.up, self.cg.tree_edges
         path = [b]
         eids: list[int] = []
-        while path[-1] != a:
-            v, tid = up[path[-1]]
+        v = b
+        while v != a:
+            tid = up[v]
+            x, y = tree_edges[tid][:2]
+            v = x if y == v else y
             path.append(v)
             eids.append(tid)
         path.reverse()
         eids.reverse()
         # distances sum from a along the path: the prefix sums of the path
         depth = self.depth
-        return path, [depth[v] for v in path], eids, adm
+        return path, [depth[v] for v in path], eids, depth[b]
 
 
 # ---------------------------------------------------------------------------
@@ -260,10 +234,7 @@ def step1_high_nodes(state: _State) -> list[int]:
     high = sorted(v for v, d in degree.items() if d >= thresh)
     if not high:
         return high
-    class_adj: list[list[tuple[int, float, int]]] = [[] for _ in range(state.n)]
-    for cid, (a, b, wt, _) in enumerate(edges):
-        class_adj[a].append((b, wt, cid))
-        class_adj[b].append((a, wt, cid))
+    class_adj = indexed_adjacency(state.n, edges)
     blocked = [False] * state.n
 
     for center in high:

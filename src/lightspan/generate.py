@@ -7,6 +7,7 @@ arguments reproduce identical instances byte for byte.
 from __future__ import annotations
 
 import heapq
+import math
 import random
 
 from .graphs import PointSet, WeightedGraph
@@ -78,6 +79,8 @@ def grid_graph(rows: int, cols: int, seed: int, jitter: float = 0.0) -> Weighted
     """rows x cols lattice; unit weights, optionally jittered by U[0, jitter]."""
     if rows < 1 or cols < 1:
         raise ValueError(f"need rows, cols >= 1, got {rows} x {cols}")
+    if not (0.0 <= jitter < math.inf):
+        raise ValueError(f"jitter must be a finite float >= 0, got {jitter}")
     rng = random.Random(seed)
     edges = []
 

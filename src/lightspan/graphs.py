@@ -250,6 +250,16 @@ def build_mst(g: WeightedGraph) -> list[int]:
     return tree
 
 
+def indexed_adjacency(n: int, edges) -> list[list[tuple[int, float, int]]]:
+    """Per-vertex (neighbor, weight, edge index) lists of (a, b, w, ...) edges,
+    both directions of each edge appended in edge order."""
+    adj: list[list[tuple[int, float, int]]] = [[] for _ in range(n)]
+    for i, (a, b, w, *_) in enumerate(edges):
+        adj[a].append((b, w, i))
+        adj[b].append((a, w, i))
+    return adj
+
+
 # ---------------------------------------------------------------------------
 # MST subdivision into pieces of weight at most w_bar
 
@@ -324,10 +334,7 @@ def subdivide_mst(g: WeightedGraph, mst_edge_ids: list[int], w_bar: float) -> Su
         next_id += pieces - 1
         tree_edges.append((prev, v, sub_w))
 
-    adj: list[list[tuple[int, float, int]]] = [[] for _ in range(next_id)]
-    for eid, (a, b, w) in enumerate(tree_edges):
-        adj[a].append((b, w, eid))
-        adj[b].append((a, w, eid))
+    adj = indexed_adjacency(next_id, tree_edges)
     parent = [-1] * next_id
     parent[0] = 0
     parent_edge = [-1] * next_id

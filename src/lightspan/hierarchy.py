@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .graphs import SubdividedMst, WeightedGraph, lightest_per_pair
+from .graphs import SubdividedMst, WeightedGraph, indexed_adjacency, lightest_per_pair
 from .unionfind import UnionFind
 
 if TYPE_CHECKING:  # avoids a cycle: clustering builds on this module
@@ -283,6 +283,8 @@ class ClusterGraph:
 
     node_weights: list[float]
     tree_edges: list[tuple[int, int, float, int]]
+    # indexed_adjacency of tree_edges, built once per level
+    tree_adj: list[list[tuple[int, float, int]]]
     # (cu, cv, weight, source graph edge id), deduplicated, no removable edges
     class_edges: list[tuple[int, int, float, int]]
     level_scale: float
@@ -307,12 +309,9 @@ class _ChainIndex:
     query returns the augmented path weight (edges plus all nodes) in O(1).
     """
 
-    def __init__(self, n: int, node_weights: list[float], tree_edges: list[tuple[int, int, float, int]]):
-        adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-        for a, b, w, _ in tree_edges:
-            adj[a].append((b, w))
-            adj[b].append((a, w))
-        low = [len(us) <= 2 for us in adj]
+    def __init__(self, node_weights: list[float], tree_edges: list[tuple[int, int, float, int]], tree_adj):
+        n = len(tree_adj)
+        low = [len(us) <= 2 for us in tree_adj]
         self._node_weights = node_weights
         self.chain_of = chain_of = [None] * n  # (positions, prefix sums) of each degree-<=2 node
         self.by_ends = {}  # the same for each chain between two degree->=3 nodes, by (min, max) ends
@@ -332,15 +331,15 @@ class _ChainIndex:
                 self.by_ends[min(a, b), max(a, b)] = chain
 
         for v in range(n):
-            if not low[v] or chain_of[v] is not None or len([u for u, _ in adj[v] if low[u]]) > 1:
+            if not low[v] or chain_of[v] is not None or len([u for u, _, _ in tree_adj[v] if low[u]]) > 1:
                 continue  # branching, already walked, or inside a run
             walk, prev, cur = [(0.0, v)], v, v  # prev = v excludes no neighbour
-            for u, w in adj[v]:
+            for u, w, _ in tree_adj[v]:
                 if not low[u]:
                     walk, prev = [(0.0, u), (w, v)], u
                     break
             while low[cur]:
-                for u, w in adj[cur]:
+                for u, w, _ in tree_adj[cur]:
                     if u != prev:
                         break
                 else:
@@ -392,7 +391,8 @@ def build_cluster_graph(
     )
     deduped = sorted(lightest_per_pair(lifted), key=lambda c: c[1])
 
-    chains = _ChainIndex(level.cluster_count, level.potentials, level.tree_edges)
+    tree_adj = indexed_adjacency(level.cluster_count, level.tree_edges)
+    chains = _ChainIndex(level.potentials, level.tree_edges, tree_adj)
     slack = t * (1.0 + 6.0 * POTENTIAL_RATIO * eps)
     kept: list[tuple[int, int, float, int]] = []
     for w, eid, cu, cv in deduped:
@@ -402,13 +402,14 @@ def build_cluster_graph(
         kept.append((cu, cv, w, eid))
 
     return ClusterGraph(
-        node_weights=list(level.potentials),
-        tree_edges=list(level.tree_edges),
+        node_weights=level.potentials,
+        tree_edges=level.tree_edges,
+        tree_adj=tree_adj,
         class_edges=kept,
         level_scale=level_scale,
         prev_scale=level.prev_scale,
         w_bar=w_bar,
-        node_source=list(level.representatives),
+        node_source=level.representatives,
     )
 
 

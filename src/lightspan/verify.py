@@ -132,8 +132,8 @@ def greedy_spanner(g: WeightedGraph, t: float) -> list[int]:
     spanner has no path of length <= t*w between its endpoints.  Dijkstra
     runs are truncated at the decision threshold.
     """
-    if t < 1.0:
-        raise ValueError(f"stretch must be >= 1, got {t}")
+    if not (1.0 <= t < math.inf):
+        raise ValueError(f"stretch must be a finite float >= 1, got {t}")
     adj: list[list[tuple[int, float]]] = [[] for _ in range(g.n)]
     kept: list[int] = []
     for eid in sorted(range(g.m), key=lambda i: (g.edges[i][2], i)):

@@ -14,7 +14,7 @@ import oracles
 from conftest import weighted_graph
 from lightspan.clustering import STRICT_EPS, cluster_level
 from lightspan.generate import random_connected_graph, uniform_points
-from lightspan.graphs import WeightedGraph, build_mst
+from lightspan.graphs import WeightedGraph, build_mst, indexed_adjacency
 from lightspan.hierarchy import POTENTIAL_RATIO, ClusterGraph
 from lightspan.pipeline import (
     PipelineConfig,
@@ -156,6 +156,7 @@ def _make_cg(node_weights, tree_pairs, class_pairs, scale=1.0):
     return ClusterGraph(
         node_weights=list(node_weights),
         tree_edges=[(u, v, w, i) for i, (u, v, w) in enumerate(tree_pairs)],
+        tree_adj=indexed_adjacency(len(node_weights), tree_pairs),
         class_edges=[(u, v, w, i) for i, (u, v, w) in enumerate(class_pairs)],
         level_scale=scale,
         prev_scale=STRICT_EPS * scale,

@@ -251,6 +251,29 @@ def test_bad_parameters_are_usage_errors(tmp_path):
     assert run("gen", "graph", "--n", "5", "--m", "2", "--out", "-") == 2
 
 
+@pytest.mark.parametrize("jitter", ["-2", "nan", "inf"])
+def test_gen_grid_rejects_bad_jitter(tmp_path, capsys, jitter):
+    out = tmp_path / "grid.graph"
+    code = run("gen", "grid", "--rows", "3", "--cols", "3", "--jitter", jitter, "--out", str(out))
+    assert code == 2
+    assert "jitter must be a finite float >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_stretch_bounds_are_usage_errors(tmp_path, capsys, value):
+    g = tmp_path / "g.graph"
+    h = tmp_path / "h.graph"
+    g.write_text("3 3\n0 1 1.0\n1 2 1.0\n0 2 1.0\n")
+    h.write_text("3 2\n0 1 1.0\n1 2 1.0\n")
+    assert run("build", "greedy", str(g), "--t", value, "--out", str(tmp_path / "out.graph")) == 2
+    assert f"stretch must be a finite float >= 1, got {value}" in capsys.readouterr().err
+    assert run("verify", "graph", str(g), "--spanner", str(h), "--stretch", value) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--stretch must be finite, got {value}" in captured.err
+
+
 def test_overflowing_weight_ratio_is_a_usage_error(tmp_path, capsys):
     g = tmp_path / "g.graph"
     g.write_text("3 3\n0 1 1e-300\n1 2 1e300\n0 2 1e300\n")

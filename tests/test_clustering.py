@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lightspan.clustering import STRICT_EPS, _State, cluster_level
+from lightspan.graphs import indexed_adjacency
 from lightspan.hierarchy import POTENTIAL_RATIO, ClusterGraph
 
 G = POTENTIAL_RATIO
@@ -23,6 +24,7 @@ def make_cg(node_weights, tree_pairs, class_pairs, scale=L, prev=None, w_bar=Non
     return ClusterGraph(
         node_weights=list(node_weights),
         tree_edges=[(u, v, w, i) for i, (u, v, w) in enumerate(tree_pairs)],
+        tree_adj=indexed_adjacency(len(node_weights), tree_pairs),
         class_edges=[(u, v, w, i) for i, (u, v, w) in enumerate(class_pairs)],
         level_scale=scale,
         prev_scale=prev,

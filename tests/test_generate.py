@@ -69,6 +69,12 @@ def test_grid_graph_jitter_keeps_weights_positive():
     assert all(1.0 <= w <= 1.5 for _, _, w in g.edges)
 
 
+@pytest.mark.parametrize("jitter", [-2.0, -1e-300, math.inf, math.nan])
+def test_grid_graph_rejects_negative_or_non_finite_jitter(jitter):
+    with pytest.raises(ValueError, match="jitter must be a finite float >= 0"):
+        grid_graph(3, 3, seed=0, jitter=jitter)
+
+
 def test_planar_triangulation_is_planar_sized():
     for seed in range(4):
         g = planar_triangulation(80, seed=seed)

@@ -8,9 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lightspan.hierarchy as hierarchy
 import oracles
 from conftest import weighted_graph
-from lightspan.graphs import WeightedGraph, build_mst, subdivide_mst
+from lightspan.clustering import _State
+from lightspan.generate import random_connected_graph
+from lightspan.graphs import WeightedGraph, build_mst, indexed_adjacency, subdivide_mst
 from lightspan.hierarchy import (
     UnsupportedShape,
     augmented_diameter,
@@ -20,6 +23,7 @@ from lightspan.hierarchy import (
     contract_level,
     _ChainIndex,
 )
+from lightspan.pipeline import PipelineConfig, light_spanner_general
 
 
 def _random_tree(n, rng):
@@ -216,7 +220,7 @@ def _shaped_tree(shape, weights, seed):
 
 
 def _shadow_values(n, node_weights, tree):
-    index = _ChainIndex(n, node_weights, tree)
+    index = _ChainIndex(node_weights, tree, indexed_adjacency(n, tree))
     return {
         (a, b): index.path_weight_if_eligible(a, b) for a in range(n) for b in range(n) if a != b
     }
@@ -294,6 +298,26 @@ def test_cluster_graph_keeps_min_parallel_edge():
     cg = build_cluster_graph(lvl, ids3, g2, 3.0, 0.3, level_scale=0.005, w_bar=sub.w_bar)
     kept = [(w, src) for _, _, w, src in cg.class_edges]
     assert kept == [(0.004, g.m + 1)]
+
+
+def test_tree_adjacency_is_built_once_per_level(monkeypatch):
+    built = []
+
+    def counting(n, edges):
+        built.append(n)
+        return indexed_adjacency(n, edges)
+
+    monkeypatch.setattr(hierarchy, "indexed_adjacency", counting)
+    res = light_spanner_general(
+        random_connected_graph(120, 400, seed=5), PipelineConfig(mode="general", eps_user=0.25)
+    )
+    assert len(built) == len(res.stats["levels"]) > 0
+
+    g, ids, sub = _subdivided(4, n=8, m=12, w_bar=0.7)
+    lvl = build_level1(sub, 1.4)
+    cg = build_cluster_graph(lvl, [], g, 3.0, 0.3, level_scale=2.8, w_bar=sub.w_bar)
+    assert cg.tree_adj == indexed_adjacency(lvl.cluster_count, lvl.tree_edges)
+    assert _State(cg, 0.3, False).tree_adj is cg.tree_adj
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
-"""Every module-level import in the lightspan package is read somewhere.
+"""Every module-level import in the lightspan package is read somewhere, and
+so is every function, class and method it defines.
 
-Deleting code tends to leave its imports behind; this guard finds them with
-the standard library's ast, so it needs nothing beyond the test runner.
+Deleting code tends to leave its imports, or a helper it alone called,
+behind; these guards find them with the standard library's ast, so they need
+nothing beyond the test runner.
 """
 
 import ast
@@ -12,6 +14,9 @@ import pytest
 import lightspan
 
 MODULES = sorted(Path(lightspan.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+# every file whose reads keep a definition alive
+READERS = sorted(p for top in ("src", "tests", "bench") for p in (ROOT / top).rglob("*.py"))
 
 
 def _module_imports(tree: ast.Module):
@@ -83,3 +88,74 @@ def test_the_guard_sees_annotations_and_aliases():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _definitions(tree: ast.Module):
+    """(name, line) of each module-level function and class and of each
+    method that is not a dunder."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield item.name, item.lineno
+
+
+def names_read(source: str) -> set[str]:
+    """Names and attributes loaded, names imported, and string constants (a
+    bench hook names its target as a string)."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif isinstance(node, ast.alias):
+            read.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            read.add(node.value)
+    return read
+
+
+def dead_definitions(source: str, read: set[str]) -> list[tuple[str, int]]:
+    return sorted((name, line) for name, line in _definitions(ast.parse(source)) if name not in read)
+
+
+def test_the_dead_definition_guard_sees_reads_of_every_kind():
+    source = (
+        "class Part:\n"
+        "    def __init__(self):\n"
+        "        self.size = 0\n"
+        "    def grow(self):\n"
+        "        return self.size\n"
+        "    def shrink(self):\n"
+        "        pass\n"
+        "def hooked():\n"
+        "    pass\n"
+        "def imported():\n"
+        "    pass\n"
+        "def orphan():\n"
+        "    pass\n"
+        "class Unused:\n"
+        "    pass\n"
+    )
+    user = (
+        "from mod import imported as alias\n"
+        "HOOKS = [('mod', 'hooked')]\n"
+        "Part().grow()\n"
+    )
+    read = names_read(source) | names_read(user)
+    assert dead_definitions(source, read) == [("Unused", 14), ("orphan", 12), ("shrink", 6)]
+
+
+@pytest.fixture(scope="module")
+def read_anywhere() -> set[str]:
+    return set().union(*(names_read(p.read_text(encoding="utf-8")) for p in READERS))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_definition_is_read(path, read_anywhere):
+    assert dead_definitions(path.read_text(encoding="utf-8"), read_anywhere) == []
