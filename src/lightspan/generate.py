@@ -47,8 +47,8 @@ def random_connected_graph(
     max_m = n * (n - 1) // 2
     if m < n - 1 or m > max_m:
         raise ValueError(f"m = {m} infeasible for n = {n} (need {n - 1} <= m <= {max_m})")
-    if not (0 < w_lo <= w_hi):
-        raise ValueError(f"bad weight range [{w_lo}, {w_hi}]")
+    if not (0 < w_lo <= w_hi < math.inf):
+        raise ValueError(f"weight range must be finite with 0 < w_lo <= w_hi, got [{w_lo}, {w_hi}]")
     rng = random.Random(seed)
     pairs = set(_random_tree_edges(n, rng))
     while len(pairs) < m:

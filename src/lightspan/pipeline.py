@@ -452,9 +452,12 @@ def _neighbours(p: PointSet, cfg: PipelineConfig):
         adjacent = sorted((off, c) for off, c in diffs if all(-1 <= s <= 1 for s in off))
         return [v for _, c in adjacent for v in buckets[c]]
 
+    pts = p.points
+
     def near(u: int):
+        pu = pts[u]
         for v in candidates(cell[u]):
-            if v != u and (dist := p.distance(u, v)) <= r:
+            if v != u and (dist := math.dist(pu, pts[v])) <= r:
                 yield v, dist
 
     return near
@@ -467,60 +470,128 @@ def _yao_base(p: PointSet, cfg: PipelineConfig) -> WeightedGraph:
     the unit-disk cone graph.  The nearest candidate of a cone is its (dist,
     v) minimum, so each point visits its candidates in ascending (dist, v)
     order (one stable sort by dist over ids in ascending order) and keeps
-    the first hit in each cone.
-
-    At d = 2 in euclidean mode with fewer cones than candidates, the scan
-    stops early.  Every candidate lies in the points' bounding box, and
-    ssa.cone_reach_2d bounds, per cone, the distance to any box point that
-    cone_of can put in it: the cone's wedge, widened by REACH_SLACK radians
-    against the rounding of the difference vector and of atan2, clipped to
-    the box, with a 1 + REACH_SLACK factor on the distance.  Once the
-    current distance exceeds the reach of every cone still empty, no later
-    candidate (all at least as far) can land in one, so the edges are those
-    of the full scan.  Otherwise (d != 2, udg mode, at least n - 1 cones,
-    or a cone too narrow for the slack) every candidate is scanned; nothing
-    of the cone count's size is allocated, so tiny eps and high d stay
-    affordable.
+    the first hit in each cone.  At d = 2 in euclidean mode _yao_scan_2d
+    visits the same order from a grid and stops early; otherwise (d != 2 or
+    udg mode) every candidate is scanned.  Nothing of the cone count's size
+    is allocated, so tiny eps and high d stay affordable.
     """
     theta = _cone_angle(cfg.eps_base())
     tau, cone_of = cone_selector(p.d, theta)
     pts = p.points
-    reach_of = None
-    if cfg.mode == "udg":
+    if cfg.mode == "euclidean" and p.d == 2:
+        chosen = _yao_scan_2d(pts, theta, tau, cone_of)
+    else:
         near = _neighbours(p, cfg)
-    elif p.d == 2 and tau < p.n - 1:
-        lo = (min(x for x, _ in pts), min(y for _, y in pts))
-        hi = (max(x for x, _ in pts), max(y for _, y in pts))
-        reach_of = cone_reach_2d(theta, lo, hi)
+        chosen = set()
+        for u, pu in enumerate(pts):
+            dist = dict(near(u))
+            filled: set[int] = set()
+            for v in sorted(sorted(dist), key=dist.__getitem__):
+                cone = cone_of(tuple(map(operator.sub, pts[v], pu)))
+                if cone not in filled:
+                    filled.add(cone)
+                    chosen.add((u, v) if u < v else (v, u))
+    edges = [(u, v, p.distance(u, v)) for u, v in sorted(chosen)]
+    return WeightedGraph(p.n, edges)
+
+
+# points per grid cell that _yao_scan_2d aims for
+CELL_POINTS = 6
+
+
+def _yao_scan_2d(pts, theta: float, tau: int, cone_of) -> set[tuple[int, int]]:
+    """The (u, v) pairs, u < v, of the 2-D cone graph over every point.
+
+    Candidates come from a uniform grid of about CELL_POINTS points per
+    cell, visited ring by ring around u's cell.  Cell indices are
+    floor((x - lo) / side), so a point within r * side of u lies at most r
+    cells away along each axis, up to the rounding of the two indices: two
+    roundings of relative 2^-53 move an index by far less than slack =
+    1e-9 (cells across + 1) cells.  So once ring r is gathered, every point
+    whose math.dist from u is at most safe_r = (r - slack) side (1 - 1e-9)
+    has been gathered, the last factor covering math.dist's own rounding.
+    The gathered points with dist <= safe_r are scanned in (dist, v) order,
+    which is then the order of the full sorted scan; past the last ring
+    safe_r is infinite.
+
+    The scan stops early.  Every candidate lies in the points' bounding box,
+    and ssa.cone_reach_2d bounds, per cone, the distance to any box point
+    that cone_of can put in it: the cone's wedge, widened by REACH_SLACK
+    radians against the rounding of the difference vector and of atan2,
+    clipped to the box, with a 1 + REACH_SLACK factor on the distance.  Once
+    the next distance exceeds the reach of every cone still empty (or safe_r
+    reaches that reach), no later candidate (all at least as far) can land
+    in one, so the edges are those of the full scan.  With at least n - 1
+    cones, or a cone too narrow for the slack, every candidate is scanned.
+    """
+    n = len(pts)
+    xs = [x for x, _ in pts]
+    ys = [y for _, y in pts]
+    lo = (min(xs), min(ys))
+    hi = (max(xs), max(ys))
+    reach_of = cone_reach_2d(theta, lo, hi) if tau < n - 1 else None
+    wx, wy = hi[0] - lo[0], hi[1] - lo[1]
+    side = max(math.sqrt(wx * wy * CELL_POINTS / n), max(wx, wy) * CELL_POINTS / n)
+    if 0.0 < side < math.inf:
+        nx, ny = int(wx / side) + 1, int(wy / side) + 1
+        key = [(int((x - lo[0]) / side), int((y - lo[1]) / side)) for x, y in pts]
+    else:  # a box too thin or too wide to divide: one cell
+        nx = ny = 1
+        key = [(0, 0)] * n
+    cells: list[list[tuple[int, tuple[float, float]]]] = [[] for _ in range(nx * ny)]
+    for v, (i, j) in enumerate(key):
+        cells[i * ny + j].append((v, pts[v]))
+    slack = 1e-9 * (max(nx, ny) + 1)
+    dist = math.dist
     chosen: set[tuple[int, int]] = set()
     for u, pu in enumerate(pts):
-        if cfg.mode == "udg":
-            dist = dict(near(u))
-            order = sorted(sorted(dist), key=dist.__getitem__)
-        else:
-            dist = [math.dist(pu, q) for q in pts]
-            order = sorted(range(p.n), key=dist.__getitem__)
-            order.remove(u)
+        ux, uy = pu
+        ci, cj = key[u]
+        last_ring = max(ci, nx - 1 - ci, cj, ny - 1 - cj)
         limit = math.inf
         if reach_of is not None:
             reach = reach_of(pu)
             empty = sorted(range(tau), key=reach.__getitem__)  # longest reach last
             limit = reach[empty[-1]]
         filled: set[int] = set()
-        for v in order:
-            if dist[v] > limit:
+        pending: list[tuple[float, int]] = []
+        r = 0
+        while True:
+            i0, i1, j0, j1 = max(ci - r, 0), min(ci + r, nx - 1), max(cj - r, 0), min(cj + r, ny - 1)
+            ring = []
+            for i in range(i0, i1 + 1):
+                if r and ci - r < i < ci + r:
+                    js = [j for j in (cj - r, cj + r) if j0 <= j <= j1]
+                else:
+                    js = range(j0, j1 + 1)
+                for j in js:
+                    ring += cells[i * ny + j]
+            pending += [(dist(pu, q), v) for v, q in ring if v != u]
+            pending.sort()
+            safe = (r - slack) * side * (1.0 - 1e-9) if r < last_ring else math.inf
+            k = 0
+            for d, v in pending:
+                if d > safe or d > limit:
+                    break
+                k += 1
+                x, y = pts[v]
+                cone = cone_of((x - ux, y - uy))
+                if cone in filled:
+                    continue
+                filled.add(cone)
+                chosen.add((u, v) if u < v else (v, u))
+                if reach_of is not None:
+                    while empty and empty[-1] in filled:
+                        empty.pop()
+                    limit = reach[empty[-1]] if empty else -math.inf
+            # stop once the next candidate in (dist, v) order is past the
+            # limit: either it was gathered (it is within safe) or it is not
+            # and lies beyond safe >= limit
+            if safe >= limit or (k < len(pending) and pending[k][0] <= safe):
                 break
-            cone = cone_of(tuple(map(operator.sub, pts[v], pu)))
-            if cone in filled:
-                continue
-            filled.add(cone)
-            chosen.add((u, v) if u < v else (v, u))
-            if reach_of is not None:
-                while empty and empty[-1] in filled:
-                    empty.pop()
-                limit = reach[empty[-1]] if empty else -math.inf
-    edges = [(u, v, p.distance(u, v)) for u, v in sorted(chosen)]
-    return WeightedGraph(p.n, edges)
+            del pending[:k]
+            r += 1
+    return chosen
 
 
 # bench/test_bench.py reads pipeline._udg_base and monkeypatches the base

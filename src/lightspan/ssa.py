@@ -83,18 +83,12 @@ def _cone_count_2d(eps: float) -> int:
     return max(1, math.ceil(2.0 * math.pi / eps))
 
 
-def _cone_index_2d(dx: float, dy: float, eps: float, tau: int) -> int:
-    ang = math.atan2(dy, dx)
-    if ang < 0.0:
-        ang += 2.0 * math.pi
-    j = int(ang / eps)
-    return min(j, tau - 1)
-
-
 def cone_selector(d: int, theta: float):
     """(cone count, vec -> cone id) with same-cone angular spread <= theta.
 
-    At d = 2 the cones are angular sectors.  Otherwise the id is the sign
+    At d = 2 the cones are angular sectors: cone j holds the atan2 angles
+    [j theta, (j + 1) theta), taken in [0, 2 pi), the last cone up to 2 pi.
+    The closure reads vec as a (dx, dy) pair.  Otherwise the id is the sign
     pattern of vec plus, for j < d - 1, the cell min(floor(steps |x_j| /
     |x|_1), steps - 1): the cell of vec's radial projection x / |x|_1 in a
     barycentric grid on a face of the cross-polytope, mixed-radix encoded,
@@ -110,7 +104,18 @@ def cone_selector(d: int, theta: float):
     """
     if d == 2:
         tau = _cone_count_2d(theta)
-        return tau, lambda vec: _cone_index_2d(vec[0], vec[1], theta, tau)
+        last = tau - 1
+        two_pi = 2.0 * math.pi
+
+        def cone_of_2d(vec) -> int:
+            dx, dy = vec
+            ang = math.atan2(dy, dx)
+            if ang < 0.0:
+                ang += two_pi
+            j = int(ang / theta)
+            return j if j < last else last
+
+        return tau, cone_of_2d
     steps = math.ceil(math.pi * d * math.sqrt(d - 1) / (2.0 * theta))
 
     def cone_of(vec) -> int:

@@ -228,3 +228,39 @@ def yao_graph(
             best[cone] = min(best.get(cone, (INF, v)), (dist, v))
         chosen.update((min(u, v), max(u, v)) for _, v in best.values())
     return [(u, v, math.dist(points[u], points[v])) for u, v in sorted(chosen)]
+
+
+def classify_cells(
+    weights: list[float], w_bar: float, eps: float, psi: float
+) -> tuple[list[int], dict[int, tuple[int, int]]]:
+    """Light ids and the (sigma, i) cell of every heavy id, one edge at a
+    time: classes sigma < mu in increasing order, the first whose level
+    window [L_i/(1+psi), L_i) holds the weight, else class mu.  The level is
+    located as leveling._locate_level does, float for float."""
+
+    def locate(w, base):
+        i = max(1, math.floor(math.log(w / base) / math.log(1.0 / eps)) + 1)
+        thr = base / eps**i
+        while i > 1 and w < thr * eps:
+            i -= 1
+            thr = base / eps**i
+        while w >= thr:
+            i += 1
+            thr = base / eps**i
+        return i, w >= thr / (1.0 + psi)
+
+    mu = max(1, math.ceil(math.log(1.0 / eps) / math.log(1.0 + psi)))
+    pow_psi = [1.0]
+    for _ in range(mu):
+        pow_psi.append(pow_psi[-1] * (1.0 + psi))
+    light, cells = [], {}
+    for eid, w in enumerate(weights):
+        if w <= w_bar / eps:
+            light.append(eid)
+            continue
+        for sigma in range(1, mu + 1):
+            i, ok = locate(w, w_bar * pow_psi[sigma])
+            if ok or sigma == mu:
+                cells[eid] = (sigma, i) if ok else None
+                break
+    return light, cells

@@ -260,6 +260,17 @@ def test_gen_grid_rejects_bad_jitter(tmp_path, capsys, jitter):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("bounds", [("1", "inf"), ("inf", "inf"), ("nan", "2"), ("0", "1"), ("3", "2")])
+def test_gen_graph_rejects_bad_weight_range(tmp_path, capsys, bounds):
+    # an infinite bound used to write inf (or nan) weights and exit 0
+    out = tmp_path / "g.graph"
+    code = run("gen", "graph", "--n", "4", "--m", "4", "--w-lo", bounds[0], "--w-hi", bounds[1],
+               "--out", str(out))
+    assert code == 2
+    assert "weight range must be finite with 0 < w_lo <= w_hi" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_non_finite_stretch_bounds_are_usage_errors(tmp_path, capsys, value):
     g = tmp_path / "g.graph"

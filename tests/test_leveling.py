@@ -1,9 +1,11 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import weighted_graph
 from lightspan import leveling
 from lightspan.graphs import WeightedGraph, build_mst
@@ -115,3 +117,53 @@ def test_reduce_over_sigma_unions_tree_light_and_classes():
     for ids in tr["per_class_edges"].values():
         want |= set(ids)
     assert set(res.edge_ids) == want
+
+
+@pytest.mark.parametrize("psi_kind", ["eps", 0.5, 1.0])
+@pytest.mark.parametrize("eps", [0.25, 0.1, 0.3, 1.0 / 256.0, 1.0 / 1240.0])
+def test_gap_lookup_matches_the_per_edge_loop(eps, psi_kind):
+    # Adversarial weights: every value the sigma loop compares against
+    # (thr = base/eps^i, thr/(1+psi), thr*eps), its nextafter neighbours and
+    # points just outside the 1e-9 guard, plus log-uniform weights so that
+    # gaps are shared.  Where psi = eps is tiny, mu runs into the thousands
+    # and the loop is slow, so a seeded subset of the listed values is used.
+    psi = eps if psi_kind == "eps" else psi_kind
+    w_bar = 1.0
+    ratio = 1e9
+    mu = max(1, math.ceil(math.log(1.0 / eps) / math.log(1.0 + psi)))
+    listed = []
+    pow_psi = 1.0
+    for _ in range(mu):
+        pow_psi *= 1.0 + psi
+        base = w_bar * pow_psi
+        i = 1
+        while (thr := base / eps**i) * eps <= 2.0 * ratio * w_bar:
+            listed += (thr, thr / (1.0 + psi), thr * eps)
+            i += 1
+    rng = random.Random(int(1 / eps) * 10 + mu)
+    budget = 300 if mu < 100 else 40
+    if len(listed) > budget:
+        listed = rng.sample(listed, budget)
+    weights = []
+    for x in listed:
+        weights += (x, math.nextafter(x, 0.0), math.nextafter(x, math.inf), x * (1 - 2e-9), x * (1 + 2e-9))
+    weights += (math.exp(rng.uniform(0.0, math.log(ratio))) * w_bar for _ in range(budget))
+    weights += (w_bar / eps, math.nextafter(w_bar / eps, math.inf), ratio * w_bar)
+    rng.shuffle(weights)
+    light, cells = oracles.classify_cells(weights, w_bar, eps, psi)
+    # rounding can leave a hole of an ulp or two between adjacent class
+    # windows; a weight in one escapes every class, for both implementations
+    escaped = {eid for eid, cell in cells.items() if cell is None}
+    for eid in escaped:
+        with pytest.raises(InvariantViolation, match="escaped every class"):
+            classify_edges(WeightedGraph(2, [(0, 1, weights[eid])]), [], w_bar=w_bar, eps=eps, psi=psi)
+    kept = [eid for eid in range(len(weights)) if eid not in escaped]
+    g = WeightedGraph(2, [(0, 1, weights[eid]) for eid in kept])
+    sch = classify_edges(g, [], w_bar=w_bar, eps=eps, psi=psi)
+    assert [kept[j] for j in sch.light_edges] == light
+    assert {kept[j]: cell for j, cell in _cells(sch).items()} == {
+        eid: cell for eid, cell in cells.items() if eid not in escaped
+    }
+    for ids in (ids for by_i in sch.per_sigma.values() for ids in by_i.values()):
+        assert ids == sorted(ids)
+

@@ -465,7 +465,57 @@ YAO_STOP_CASES = {
     "n2": (lambda: [(0.0, 0.0), (1.0, 2.0)], 0.25),
     "n3": (lambda: [(0.0, 0.0), (1.0, 2.0), (3.0, -1.0)], 0.25),
     "cones-above-n": (lambda: uniform_points(120, 2, 12).points, 0.001),
+    # grid-scan cases
+    "lattice-on-cell-edges": (lambda: _lattice_on_cell_edges(11, 14), 0.25),
+    "points-at-box-max": (lambda: _points_at_box_max(150, 15), 0.25),
+    "clusters-apart-horizontal": (lambda: _clusters_apart((1000.0, 0.0), 150, 16), 0.25),
+    "clusters-apart-diagonal": (lambda: _clusters_apart((1000.0, 1000.0), 150, 17), 0.25),
+    "uniform-600": (lambda: uniform_points(600, 2, 18).points, 0.25),
+    "blobs-of-mixed-scale": (lambda: _blobs(84), 0.25),
+    # a box too wide for a float span: one grid cell, every pair scanned
+    "span-overflows": (lambda: [(s * 1.5e308 * (1 - k / 64), k / 7) for k in range(30) for s in (-1, 1)], 0.25),
 }
+
+
+def _blobs(seed):
+    # gaussian blobs of spread 0.5, 3 or 10: once a ring is scanned, the
+    # nearest gathered point can lie beyond the reach limit while a point of
+    # the next ring is nearer and within it
+    rng = random.Random(seed)
+    pts = set()
+    for _ in range(rng.randint(2, 6)):
+        cx, cy, s = rng.uniform(0, 100), rng.uniform(0, 100), rng.choice([0.5, 3, 10])
+        for _ in range(rng.randint(10, 60)):
+            pts.add((cx + rng.gauss(0, s), cy + rng.gauss(0, s)))
+    return sorted(pts)
+
+
+def _lattice_on_cell_edges(k, seed):
+    # a k x k unit lattice plus seeded filler inside its box, CELL_POINTS
+    # (k-1)^2 points in all, so the grid's cell side is exactly 1 and every
+    # lattice point sits on a cell boundary
+    rng = random.Random(seed)
+    pts = {(float(i), float(j)) for i in range(k) for j in range(k)}
+    while len(pts) < pipeline.CELL_POINTS * (k - 1) ** 2:
+        pts.add((rng.uniform(0.0, k - 1.0), rng.uniform(0.0, k - 1.0)))
+    return sorted(pts)
+
+
+def _points_at_box_max(n, seed):
+    # uniform points plus points on the box's top and right edges and corners
+    rng = random.Random(seed)
+    pts = {(rng.random(), rng.random()) for _ in range(n)}
+    pts |= {(1.0, rng.random()) for _ in range(20)} | {(rng.random(), 1.0) for _ in range(20)}
+    pts |= {(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)}
+    return sorted(pts)
+
+
+def _clusters_apart(offset, n, seed):
+    # two tight clusters far apart: the rings between them are empty
+    rng = random.Random(seed)
+    pts = {(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) for _ in range(n)}
+    pts |= {(offset[0] + rng.gauss(0.0, 1.0), offset[1] + rng.gauss(0.0, 1.0)) for _ in range(n)}
+    return sorted(pts)
 
 
 @pytest.mark.parametrize("name", sorted(YAO_STOP_CASES))

@@ -9,7 +9,6 @@ import oracles
 from lightspan.ssa import (
     SsaInput,
     _cone_count_2d,
-    _cone_index_2d,
     REACH_SLACK,
     _sampling_spanner,
     cone_reach_2d,
@@ -106,14 +105,12 @@ def test_cone_count_2d():
 
 def test_cone_index_2d_walks_the_circle():
     eps = math.pi / 3
-    tau = _cone_count_2d(eps)
-    seen = [
-        _cone_index_2d(math.cos(a), math.sin(a), eps, tau)
-        for a in [j * eps + eps / 2 for j in range(tau)]
-    ]
+    tau, cone_of = cone_selector(2, eps)
+    assert tau == _cone_count_2d(eps)
+    seen = [cone_of((math.cos(a), math.sin(a))) for a in [j * eps + eps / 2 for j in range(tau)]]
     assert seen == list(range(tau))
     # angles beyond the last boundary still land in the final cone
-    assert _cone_index_2d(math.cos(-0.001), math.sin(-0.001), eps, tau) == tau - 1
+    assert cone_of((math.cos(-0.001), math.sin(-0.001))) == tau - 1
 
 
 def test_cone_reach_needs_cones_wider_than_its_slack():
