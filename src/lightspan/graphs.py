@@ -15,7 +15,8 @@ class DisconnectedGraph(ValueError):
 
 
 class DegeneratePoints(ValueError):
-    """Raised on duplicate points, a non-finite coordinate or an unusable dimension."""
+    """Raised on duplicate points, a non-finite coordinate, an unusable
+    dimension or a spread whose distances overflow."""
 
 
 class FormatError(ValueError):
@@ -89,6 +90,11 @@ class PointSet:
             if p in seen:
                 raise DegeneratePoints(f"duplicate point at index {i}: {p}")
             seen.add(p)
+        # no distance exceeds the bounding box's diagonal
+        lo = [min(c) for c in zip(*self.points)]
+        hi = [max(c) for c in zip(*self.points)]
+        if not math.isfinite(math.dist(lo, hi)):
+            raise DegeneratePoints(f"point distances overflow a float: the bounding box spans {lo} to {hi}")
 
     def distance(self, i: int, j: int) -> float:
         return math.dist(self.points[i], self.points[j])

@@ -15,6 +15,10 @@ from dataclasses import dataclass
 
 from .hierarchy import InvariantViolation
 
+# most class thresholds classify_edges lists (about 35 MB of floats); a
+# finer psi or an eps nearer 1 needs more and is refused before any is built
+THRESHOLD_BUDGET = 1 << 20
+
 
 @dataclass
 class LevelSchedule:
@@ -27,111 +31,60 @@ class LevelSchedule:
     per_sigma: dict[int, dict[int, list[int]]]
 
     def level_threshold(self, sigma: int, i: int) -> float:
-        """L_i = (1+psi)^sigma * w_bar / eps^i (same expression the classifier uses)."""
+        """L_i = (1+psi)^sigma * w_bar / eps^i, the one expression for both the
+        classifier's cell ends and the hierarchy's level scales."""
         return self.w_bar * (1.0 + self.psi) ** sigma / self.eps**i
-
-
-def _locate_level(w: float, base: float, eps: float, psi: float) -> tuple[int, bool]:
-    """Smallest i >= 1 with w < base/eps^i, and whether w >= that threshold/(1+psi).
-
-    base = (1+psi)^sigma * w_bar.  The candidate comes from a logarithm and is
-    then nudged against the exact inequalities so float rounding cannot move
-    an edge across a cell boundary.
-    """
-    # w < base/eps^i  <=>  i > log(w/base)/log(1/eps)
-    i = max(1, math.floor(math.log(w / base) / math.log(1.0 / eps)) + 1)
-    thr = base / eps**i
-    while i > 1 and w < thr * eps:
-        i -= 1
-        thr = base / eps**i
-    while w >= thr:
-        i += 1
-        thr = base / eps**i
-    return i, w >= thr / (1.0 + psi)
-
-
-# relative distance from a listed comparison value inside which
-# classify_edges runs the sigma loop itself; far above the few ulps by which
-# _locate_level's logarithm can misplace its first candidate level
-GAP_GUARD = 1e-9
-
-
-def _place(w: float, w_bar: float, pow_psi: list[float], mu: int, eps: float, psi: float) -> tuple[int, int]:
-    """(sigma, i) of a heavy weight: the first class sigma < mu whose level
-    window holds w, else class mu."""
-    for sigma in range(1, mu):
-        i, ok = _locate_level(w, w_bar * pow_psi[sigma], eps, psi)
-        if ok:
-            return sigma, i
-    i, ok = _locate_level(w, w_bar * pow_psi[mu], eps, psi)
-    if not ok:
-        raise InvariantViolation(f"edge weight {w} escaped every class (w_bar={w_bar}, eps={eps}, psi={psi})")
-    return mu, i
 
 
 def classify_edges(g, mst_edge_ids: list[int], w_bar: float, eps: float, psi: float) -> LevelSchedule:
     """Assign every heavy edge outside the MST to exactly one (sigma, i) cell.
 
     MST edges go straight into the output (see pipeline._transform), so they
-    are neither light nor placed in a class.  Classes sigma < mu are tried
-    in increasing order; edges matched by none of them fall through to
-    sigma = mu, which keeps the partition exhaustive when the top class
-    overlaps the next level of the bottom one.
+    are neither light nor placed in a class.  With T = level_threshold, level
+    i's cells are [T(sigma-1, i), T(sigma, i)) for sigma < mu, and class mu
+    takes the rest of the level, [T(mu-1, i), T(0, i+1)).  As
+    (1+psi)^(mu-1) < 1/eps, the cells tile the heavy range level by level.
+    When mu = 1, eps (1+psi) >= 1, so the one class's windows
+    [T(0, i), T(1, i)) overlap across levels; the lowest level wins and
+    level i's cell ends at T(1, i).
 
-    _place is the one owner of that rule; each weight's answer is looked up
-    per gap.  _place compares w only against the floats thr = base/eps^i,
-    thr/(1+psi) and thr*eps (base = w_bar (1+psi)^sigma, as _locate_level
-    computes them) for the levels i it visits, which stay below the first
-    level whose thr*eps exceeds twice the heaviest weight.  Its one other
-    input is the first candidate level, the floor of a logarithm, which
-    steps only within a few ulps of some thr.  So every weight strictly
-    between two adjacent listed values, and farther than a relative
-    GAP_GUARD from both, gets the same answer: the first such weight of a gap
-    runs _place and the rest reuse its answer.  A weight within GAP_GUARD of
-    a listed value runs _place itself.
+    The cells' upper ends, level-major, form one non-decreasing table, and
+    a weight's cell is where bisect puts it in that table.  A table that
+    decreases raises InvariantViolation; one longer than THRESHOLD_BUDGET
+    raises ValueError before it is built.
     """
     if not (0.0 < eps < 1.0):
         raise ValueError(f"eps must be in (0,1), got {eps}")
     if not (0.0 < psi <= 1.0):
         raise ValueError(f"psi must be in (0,1], got {psi}")
     mu = max(1, math.ceil(math.log(1.0 / eps) / math.log(1.0 + psi)))
-    light_cut = w_bar / eps
-    light: list[int] = []
-    per_sigma: dict[int, dict[int, list[int]]] = {}
-    pow_psi = [1.0]
-    for _ in range(mu):
-        pow_psi.append(pow_psi[-1] * (1.0 + psi))
+    sch = LevelSchedule(psi=psi, eps=eps, mu=mu, w_bar=w_bar, light_edges=[], per_sigma={})
+    T = sch.level_threshold
+    light_cut = T(0, 1)
     w_max = max((w for _, _, w in g.edges), default=0.0)
-    cuts: list[float] = []
-    for sigma in range(1, mu + 1):
-        base = w_bar * pow_psi[sigma]
-        i = 1
-        while True:
-            thr = base / eps**i
-            cuts += (thr, thr / (1.0 + psi), thr * eps)
-            if thr * eps * 0.5 > w_max or math.isinf(thr):
-                break
-            i += 1
-    cuts.sort()
-    top = len(cuts)
-    cell_of_gap: dict[int, tuple[int, int]] = {}
+    ratio = max(1.0 / eps, w_max / w_bar)
+    if not math.isfinite(ratio):
+        raise ValueError(f"heaviest weight {w_max!r} over w_bar {w_bar!r} is not a finite ratio")
+    # the last end lies at least a factor 1/eps above the heaviest weight
+    levels = math.floor(math.log(ratio) / math.log(1.0 / eps)) + 1
+    if mu * levels > THRESHOLD_BUDGET:
+        raise ValueError(
+            f"{mu} weight classes x {levels} levels exceed the budget of {THRESHOLD_BUDGET} "
+            f"class thresholds; use a larger psi or an epsilon further from 1"
+        )
+    ends: list[float] = []
+    for i in range(1, levels + 1):
+        ends += [T(sigma, i) for sigma in range(1, mu)]
+        ends.append(T(0, i + 1) if mu > 1 else T(1, i))
+    if ends != sorted(ends):
+        raise InvariantViolation(f"class thresholds decrease somewhere (w_bar={w_bar}, eps={eps}, psi={psi})")
     in_mst = set(mst_edge_ids)
     for eid, (_, _, w) in enumerate(g.edges):
         if eid in in_mst:
             continue
         if w <= light_cut:
-            light.append(eid)
+            sch.light_edges.append(eid)
             continue
-        gap = bisect.bisect_right(cuts, w)
-        if (gap and w - cuts[gap - 1] <= GAP_GUARD * cuts[gap - 1]) or (
-            gap < top and cuts[gap] - w <= GAP_GUARD * cuts[gap]
-        ):
-            cell = _place(w, w_bar, pow_psi, mu, eps, psi)
-        else:
-            cell = cell_of_gap.get(gap)
-            if cell is None:
-                cell = cell_of_gap[gap] = _place(w, w_bar, pow_psi, mu, eps, psi)
-        sigma, i = cell
-        per_sigma.setdefault(sigma, {}).setdefault(i, []).append(eid)
-    return LevelSchedule(psi=psi, eps=eps, mu=mu, w_bar=w_bar, light_edges=light,
-                         per_sigma=per_sigma)
+        i, sigma = divmod(bisect.bisect_right(ends, w), mu)
+        sch.per_sigma.setdefault(sigma + 1, {}).setdefault(i + 1, []).append(eid)
+    return sch

@@ -55,11 +55,6 @@ def stretch_rho(s_ssa: float) -> float:
     return max(s_ssa + 4.0 * POTENTIAL_RATIO, 10.0 * POTENTIAL_RATIO)
 
 
-RHO_GENERAL = stretch_rho(S_GENERAL)
-RHO_GEOM = stretch_rho(S_GEOM)
-RHO_MINOR = stretch_rho(S_MINOR)
-
-
 @dataclass
 class PipelineConfig:
     mode: str = "general"  # general | euclidean | udg | minor

@@ -264,3 +264,43 @@ def classify_cells(
                 cells[eid] = (sigma, i) if ok else None
                 break
     return light, cells
+
+
+def classify_cells_tiled(
+    weights: list[float], w_bar: float, eps: float, psi: float
+) -> tuple[list[int], dict[int, tuple[int, int] | None]]:
+    """Light ids and the (sigma, i) cell of every heavy id (None if no cell
+    holds it), one edge at a time under the tiled rule.
+
+    With T(sigma, i) = w_bar (1+psi)^sigma / eps^i, computed as
+    LevelSchedule.level_threshold computes it, cell (sigma, i) runs from
+    T(sigma-1, i) up to T(sigma, i), or up to T(0, i+1) for class mu when
+    mu > 1.  Classes are tried in increasing order; in each, the level is
+    the smallest whose upper end lies above the weight, and the class holds
+    the weight when it is not below that cell's lower end."""
+    mu = max(1, math.ceil(math.log(1.0 / eps) / math.log(1.0 + psi)))
+
+    def T(sigma, i):
+        return w_bar * (1.0 + psi) ** sigma / eps**i
+
+    def end(sigma, i):
+        return T(0, i + 1) if sigma == mu > 1 else T(sigma, i)
+
+    light, cells = [], {}
+    for eid, w in enumerate(weights):
+        if w <= T(0, 1):
+            light.append(eid)
+            continue
+        cells[eid] = None
+        for sigma in range(1, mu + 1):
+            # a first guess from the logarithm, stepped until it is the
+            # smallest level whose end lies above w
+            i = max(1, math.floor(math.log(w / T(sigma, 0)) / math.log(1.0 / eps)))
+            while i > 1 and w < end(sigma, i - 1):
+                i -= 1
+            while w >= end(sigma, i):
+                i += 1
+            if w >= T(sigma - 1, i):
+                cells[eid] = (sigma, i)
+                break
+    return light, cells

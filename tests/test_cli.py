@@ -319,6 +319,28 @@ def test_tiny_epsilon_is_refused_before_subdividing(tmp_path, eps):
     assert "subdivided MST would have more than" in out.stderr
 
 
+@pytest.mark.parametrize("knob", [("--psi", "1e-9"), ("--epsilon", "0.999999")])
+def test_a_hopeless_class_table_is_refused_up_front(tmp_path, knob):
+    # psi 1e-9 asks for about 1.4e9 weight classes; eps 0.999999 for about
+    # 1.9e6 levels on this graph
+    g = tmp_path / "g.graph"
+    assert run("gen", "graph", "--n", "50", "--m", "200", "--seed", "0", "--out", str(g)) == 0
+    out = _cli_in_2gb("build", "general", str(g), *knob, "--out", "-")
+    assert out.returncode == 2, out.stderr
+    assert "Traceback" not in out.stderr
+    assert "exceed the budget of" in out.stderr
+
+
+@pytest.mark.parametrize("mode", ["euclidean", "udg"])
+def test_points_whose_distances_overflow_are_refused(tmp_path, capsys, mode):
+    p = tmp_path / "p.points"
+    p.write_text("3 2\n1e308 0\n-1e308 0\n0 1\n")
+    assert run("build", mode, str(p), "--out", "-") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "point distances overflow a float" in captured.err
+
+
 def test_sweep_csv_shape(tmp_path):
     out = tmp_path / "rows.csv"
     code = run(

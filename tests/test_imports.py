@@ -1,5 +1,6 @@
 """Every module-level import in the lightspan package is read somewhere, and
-so is every function, class and method it defines.
+so is every function, class and method it defines.  Every UPPER_CASE
+module-level constant is read inside the package itself.
 
 Deleting code tends to leave its imports, or a helper it alone called,
 behind; these guards find them with the standard library's ast, so they need
@@ -159,3 +160,34 @@ def read_anywhere() -> set[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_definition_is_read(path, read_anywhere):
     assert dead_definitions(path.read_text(encoding="utf-8"), read_anywhere) == []
+
+
+def _constants(tree: ast.Module):
+    """(name, line) of each UPPER_CASE name bound at module level."""
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        for target in targets:
+            if isinstance(target, ast.Name) and target.id.lstrip("_").isupper():
+                yield target.id, node.lineno
+
+
+def unread_constants(source: str, read: set[str]) -> list[tuple[str, int]]:
+    return sorted((name, line) for name, line in _constants(ast.parse(source)) if name not in read)
+
+
+def test_the_constant_guard_sees_reads_in_other_modules():
+    source = "LIMIT = 3\n_TABLE: dict = {}\nSPARE = 1\nlower = 2\n__all__ = []\ndef f():\n    return LIMIT\n"
+    user = "from mod import _TABLE\n"
+    read = names_read(source) | names_read(user)
+    assert unread_constants(source, read) == [("SPARE", 3)]
+
+
+@pytest.fixture(scope="module")
+def read_in_package() -> set[str]:
+    return set().union(*(names_read(p.read_text(encoding="utf-8")) for p in MODULES))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_constant_is_read_in_the_package(path, read_in_package):
+    # a constant only the tests read pins nothing the package does
+    assert unread_constants(path.read_text(encoding="utf-8"), read_in_package) == []

@@ -25,9 +25,6 @@ from lightspan.graphs import (
     subdivide_mst,
 )
 from lightspan.pipeline import (
-    RHO_GENERAL,
-    RHO_GEOM,
-    RHO_MINOR,
     S_GENERAL,
     S_GEOM,
     S_MINOR,
@@ -73,9 +70,9 @@ def test_mode_constants():
     assert S_GENERAL == 125.0
     assert S_GEOM == 2384.0
     assert S_MINOR == 0.0
-    assert stretch_rho(S_GENERAL) == RHO_GENERAL == 310.0
-    assert stretch_rho(S_GEOM) == RHO_GEOM == 2508.0
-    assert stretch_rho(S_MINOR) == RHO_MINOR == 310.0
+    assert stretch_rho(S_GENERAL) == 310.0
+    assert stretch_rho(S_GEOM) == 2508.0
+    assert stretch_rho(S_MINOR) == 310.0
 
 
 def test_internal_eps_defaults_to_user_eps():
@@ -85,9 +82,9 @@ def test_internal_eps_defaults_to_user_eps():
 
 def test_strict_mode_scales_eps_down():
     cfg = PipelineConfig(mode="general", eps_user=0.25, strict=True)
-    assert cfg.eps() == min(0.25 / RHO_GENERAL, 1.0 / 256.0)
+    assert cfg.eps() == min(0.25 / stretch_rho(S_GENERAL), 1.0 / 256.0)
     geo = PipelineConfig(mode="euclidean", eps_user=0.5, strict=True)
-    assert geo.eps() == min(0.5 / RHO_GEOM, 1.0 / 256.0)
+    assert geo.eps() == min(0.5 / stretch_rho(S_GEOM), 1.0 / 256.0)
 
 
 def test_explicit_internal_eps_wins():
