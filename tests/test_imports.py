@@ -165,7 +165,12 @@ def test_every_definition_is_read(path, read_anywhere):
 def _constants(tree: ast.Module):
     """(name, line) of each UPPER_CASE name bound at module level."""
     for node in tree.body:
-        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
         for target in targets:
             if isinstance(target, ast.Name) and target.id.lstrip("_").isupper():
                 yield target.id, node.lineno
