@@ -8,7 +8,7 @@ that level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .graphs import SubdividedMst, WeightedGraph, indexed_adjacency, lightest_per_pair
@@ -128,8 +128,6 @@ class ClusterLevel:
     tree_edges: list[tuple[int, int, float, int]]
     # original vertex -> id of the cluster holding it
     cluster_of: list[int]
-    # clusters exempt from the lower potential bound (terminal base cases)
-    collapse: list[bool] = field(default_factory=list)
 
     @property
     def cluster_count(self) -> int:
@@ -269,7 +267,6 @@ def build_level1(sub: SubdividedMst, level0_scale: float) -> ClusterLevel:
         representatives=[min(ms) for ms in clusters],
         tree_edges=tree_edges,
         cluster_of=cluster_of[: sub.n_original],
-        collapse=[False] * len(clusters),
     )
 
 
@@ -452,5 +449,4 @@ def contract_level(level: ClusterLevel, subgraphs: "ClusteringOutcome") -> Clust
         representatives=[min(ms) for ms in members],
         tree_edges=tree_edges,
         cluster_of=[new_of[c] for c in level.cluster_of],
-        collapse=list(subgraphs.collapse),
     )

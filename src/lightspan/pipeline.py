@@ -206,29 +206,20 @@ def _class_spanner(g, sub, schedule, sigma, cfg, backend, ssa_clock, level_rows,
                 {
                     "i": i,
                     "scale": li,
-                    "prev_scale": lvl.prev_scale,
                     "members": [list(ms) for ms in lvl.members],
                     "potentials": list(lvl.potentials),
-                    "collapse": list(lvl.collapse),
                     "h_i": sorted(h_i),
                     "local_change": list(outcome.local_change),
                     "corrected_change": list(outcome.corrected_change),
-                    "degenerate": outcome.degenerate,
                 }
             )
         lvl = contract_level(lvl, outcome)
         if lvl.cluster_count == 1 and not any(cells.get(j) for j in range(i + 1, max_i + 1)):
             break
     level_rows.extend(rows_here)
-    if trace_levels is not None:
-        # potential totals per level, the last one after the final contraction
-        phi = [row["phi"] for row in rows_here] + [sum(lvl.potentials)]
-        trace_sigma["ledger"] = {
-            "phi_totals": phi,
-            "deltas": [a - b for a, b in zip(phi, phi[1:])],
-            "local_changes": [list(row["local_change"]) for row in trace_levels],
-            "corrected_changes": [list(row["corrected_change"]) for row in trace_levels],
-        }
+    if trace_sigma is not None:
+        # the potential total after the last contraction; each row holds its own
+        trace_sigma["final_phi"] = sum(lvl.potentials)
     return kept
 
 
@@ -260,7 +251,7 @@ def _transform(g: WeightedGraph, cfg: PipelineConfig, backend, timings: dict):
     for sigma in sorted(schedule.per_sigma):
         trace_sigma = None
         if trace is not None:
-            trace_sigma = trace["per_sigma"][sigma] = {"levels": [], "ledger": None}
+            trace_sigma = trace["per_sigma"][sigma] = {"levels": []}
         per_class[sigma] = _class_spanner(
             g, sub, schedule, sigma, cfg, backend, ssa_clock, level_rows, trace_sigma
         )
@@ -274,7 +265,6 @@ def _transform(g: WeightedGraph, cfg: PipelineConfig, backend, timings: dict):
         trace["w_bar"] = w_bar
         trace["light_ids"] = list(schedule.light_edges)
         trace["sub_tree_edges"] = [list(e) for e in sub.tree_edges]
-        trace["n_original"] = g.n
         trace["n_extended"] = sub.extended_vertex_count
         trace["eps"] = eps
         trace["per_class_edges"] = {s: sorted(v) for s, v in per_class.items()}

@@ -204,8 +204,8 @@ def _list_of(item) -> Callable[[object], bool]:
 
 def _check_trace_shape(trace: dict) -> None:
     """Raise FormatError naming the first field that check_hierarchy could
-    not read: a wrong type, a missing ledger or level entry, or a vertex or
-    edge id out of range."""
+    not read: a wrong type, a missing final_phi or level entry, or a vertex
+    or edge id out of range."""
 
     def need(ok: bool, field: str, what: str) -> None:
         if not ok:
@@ -227,16 +227,9 @@ def _check_trace_shape(trace: dict) -> None:
     for sigma, cls in per_sigma.items():
         field = f"per_sigma.{sigma}"
         need(str(sigma).lstrip("-").isdigit(), field, "keyed by an integer")
-        need(isinstance(cls, dict) and isinstance(cls.get("ledger"), dict)
-             and isinstance(cls.get("levels"), list), field, "an object with ledger and levels")
-        ledger, levels = cls["ledger"], cls["levels"]
-        need(numbers(ledger.get("phi_totals")) and len(ledger["phi_totals"]) > 0,
-             f"{field}.ledger.phi_totals", "a nonempty list of numbers")
-        need(numbers(ledger.get("deltas")), f"{field}.ledger.deltas", "a list of numbers")
-        for name in ("local_changes", "corrected_changes"):
-            need(_list_of(numbers)(ledger.get(name)), f"{field}.ledger.{name}", "a list of number lists")
-            need(len(ledger[name]) <= len(levels), f"{field}.levels", f"a row per {name} entry")
-        for j, row in enumerate(levels):
+        need(isinstance(cls, dict) and _is_number(cls.get("final_phi"))
+             and isinstance(cls.get("levels"), list), field, "an object with final_phi and levels")
+        for j, row in enumerate(cls["levels"]):
             here = f"{field}.levels.{j}"
             need(isinstance(row, dict), here, "an object")
             need(_is_int(row.get("i")), f"{here}.i", "an integer")
@@ -246,18 +239,21 @@ def _check_trace_shape(trace: dict) -> None:
             need(numbers(row.get("potentials")) and len(row["potentials"]) >= len(row["members"]),
                  f"{here}.potentials", "a number per member list")
             need(edge_ids(row.get("h_i")), f"{here}.h_i", "a list of ids of edges")
+            for name in ("local_change", "corrected_change"):
+                need(numbers(row.get(name)), f"{here}.{name}", "a list of numbers")
 
 
 def check_hierarchy(trace: dict) -> VerificationReport:
     """Replay a recorded construction trace against the accounting rules.
 
-    Checks, per weight class: the first level's potential total is at most
-    the MST weight; each level's total potential drop equals the sum of the
-    per-group drops; every corrected per-group drop is nonnegative up to
-    rounding; and (on small instances) each cluster's induced diameter in
-    the already-built edge set is bounded by its potential.  A trace that
-    is not an object, lacks a field of TRACE_FIELDS or holds a field of the
-    wrong shape raises FormatError.
+    Checks, per weight class, on the ledger derived from its rows (a level's
+    total is the sum of its potentials; final_phi follows the last level):
+    the first level's total is at most the MST weight; each level's drop to
+    the next total equals the sum of its local_change; every corrected_change
+    entry is nonnegative up to rounding; and (on small instances) each
+    cluster's induced diameter in the already-built edge set is bounded by
+    its potential.  A trace that is not an object, lacks a field of
+    TRACE_FIELDS or holds a field of the wrong shape raises FormatError.
     """
     if not isinstance(trace, dict):
         raise FormatError(None, f"trace must be a JSON object, got {type(trace).__name__}")
@@ -272,9 +268,8 @@ def check_hierarchy(trace: dict) -> VerificationReport:
     n_ext = trace["n_extended"]
 
     for sigma in sorted(per_sigma):
-        ledger = per_sigma[sigma]["ledger"]
         levels = per_sigma[sigma]["levels"]
-        phi = ledger["phi_totals"]
+        phi = [sum(row["potentials"]) for row in levels] + [per_sigma[sigma]["final_phi"]]
 
         ok = phi[0] <= mst_w * (1.0 + 1e-9)
         report.add(
@@ -283,21 +278,22 @@ def check_hierarchy(trace: dict) -> VerificationReport:
             None if ok else {"phi1": phi[0], "mst_weight": mst_w},
         )
 
-        for j, (delta, locals_) in enumerate(zip(ledger["deltas"], ledger["local_changes"])):
-            ok = _close(delta, sum(locals_), 1e-6)
+        for row, before, after in zip(levels, phi, phi[1:]):
+            delta, sum_local = before - after, sum(row["local_change"])
+            ok = _close(delta, sum_local, 1e-6)
             report.add(
-                f"delta_identity[sigma={sigma},level={levels[j]['i']}]",
+                f"delta_identity[sigma={sigma},level={row['i']}]",
                 ok,
-                None if ok else {"delta_total": delta, "sum_local": sum(locals_)},
+                None if ok else {"delta_total": delta, "sum_local": sum_local},
             )
 
-        for j, corrected in enumerate(ledger["corrected_changes"]):
-            scale = levels[j]["scale"]
+        for row in levels:
+            scale = row["scale"]
             bad = [
-                (x, c) for x, c in enumerate(corrected) if c < -1e-9 * scale
+                (x, c) for x, c in enumerate(row["corrected_change"]) if c < -1e-9 * scale
             ]
             report.add(
-                f"corrected_drop_nonneg[sigma={sigma},level={levels[j]['i']}]",
+                f"corrected_drop_nonneg[sigma={sigma},level={row['i']}]",
                 not bad,
                 None if not bad else {"scale": scale, "violations": bad[:5]},
             )

@@ -384,7 +384,7 @@ def test_sweep_epsilon_param(tmp_path):
     "field, value, named",
     [
         ("per_sigma", [], "per_sigma must be an object"),
-        ("phi_totals", "x", "ledger.phi_totals must be"),
+        ("final_phi", "x", "with final_phi and levels"),
         ("members", [[0, "a"]], "levels.0.members must be"),
         ("edges", [[0, 1]], "edges must be"),
     ],
@@ -395,8 +395,8 @@ def test_trace_with_a_wrong_nested_shape_is_a_format_error(tmp_path, capsys, fie
     run("build", "general", str(g), "--out", str(tmp_path / "h.graph"), "--trace", str(trace))
     blob = json.loads(trace.read_text())
     cls = next(iter(blob["per_sigma"].values()))
-    if field == "phi_totals":
-        cls["ledger"][field] = value
+    if field == "final_phi":
+        cls[field] = value
     elif field == "members":
         cls["levels"][0][field] = value
     else:

@@ -342,7 +342,7 @@ def test_contract_level_closes_cycles_into_a_spanning_tree():
         cluster_of=list(range(5)),
     )
     outcome = SimpleNamespace(
-        groups=[[0, 3], [1, 4], [2]], level_scale=4.0, adm=[5.0, 6.0, 7.0], collapse=[False] * 3
+        groups=[[0, 3], [1, 4], [2]], level_scale=4.0, adm=[5.0, 6.0, 7.0]
     )
     nxt = contract_level(lvl, outcome)
     # one candidate per node pair, min (weight, source id), then Kruskal
@@ -374,7 +374,7 @@ def test_cluster_map_matches_members(seed, n):
     rng.shuffle(ids)
     k = rng.randint(1, len(ids))
     outcome = SimpleNamespace(
-        groups=[ids[j::k] for j in range(k)], level_scale=3.2, adm=[0.0] * k, collapse=[False] * k
+        groups=[ids[j::k] for j in range(k)], level_scale=3.2, adm=[0.0] * k
     )
     _assert_cluster_map_matches_members(contract_level(lvl, outcome), sub.n_original)
 

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import point_graph, weighted_graph
+from lightspan.generate import random_connected_graph
 from lightspan.graphs import WeightedGraph, build_mst
 from lightspan.pipeline import PipelineConfig, light_spanner_general
 from lightspan.verify import (
+    PREFIX_DIAMETER_CAP,
     NotSpanning,
     VerificationReport,
     check_hierarchy,
@@ -198,11 +200,20 @@ def test_check_hierarchy_survives_json_round_trip():
     assert check_hierarchy(trace).passed
 
 
+def _first_row_with(trace, field):
+    """The first level row, over every class, whose `field` list is nonempty."""
+    for cls in trace["per_sigma"].values():
+        for row in cls["levels"]:
+            if row[field]:
+                return row
+    raise AssertionError(f"no level row has a nonempty {field}")
+
+
 def test_check_hierarchy_flags_phi_above_mst():
     res = _traced_run(seed=2)
     trace = json.loads(json.dumps(res.trace))
     sigma = next(iter(trace["per_sigma"]))
-    trace["per_sigma"][sigma]["ledger"]["phi_totals"][0] = trace["mst_weight"] * 2.0
+    trace["per_sigma"][sigma]["levels"][0]["potentials"][0] += trace["mst_weight"] * 2.0
     rep = check_hierarchy(trace)
     assert not rep.passed
     assert any(c["name"].startswith("phi1_le_mst") and not c["passed"] for c in rep.checks)
@@ -211,11 +222,7 @@ def test_check_hierarchy_flags_phi_above_mst():
 def test_check_hierarchy_flags_broken_delta_identity():
     res = _traced_run(seed=3)
     trace = json.loads(json.dumps(res.trace))
-    for sigma in trace["per_sigma"]:
-        led = trace["per_sigma"][sigma]["ledger"]
-        if led["deltas"]:
-            led["deltas"][0] += 1.0
-            break
+    _first_row_with(trace, "local_change")["local_change"][0] += 1.0
     rep = check_hierarchy(trace)
     assert any(c["name"].startswith("delta_identity") and not c["passed"] for c in rep.checks)
 
@@ -223,13 +230,23 @@ def test_check_hierarchy_flags_broken_delta_identity():
 def test_check_hierarchy_flags_negative_corrected_drop():
     res = _traced_run(seed=4)
     trace = json.loads(json.dumps(res.trace))
-    for sigma in trace["per_sigma"]:
-        led = trace["per_sigma"][sigma]["ledger"]
-        if led["corrected_changes"]:
-            led["corrected_changes"][0][0] = -1.0
-            break
+    _first_row_with(trace, "corrected_change")["corrected_change"][0] = -1.0
     rep = check_hierarchy(trace)
     assert any(c["name"].startswith("corrected_drop_nonneg") and not c["passed"] for c in rep.checks)
+
+
+def test_check_hierarchy_derives_totals_from_the_level_potentials():
+    # above PREFIX_DIAMETER_CAP extended vertices, so only the potential
+    # ledger can notice a level-1 potential raised by that level's scale
+    g = random_connected_graph(600, 2400, 5)
+    trace = light_spanner_general(g, PipelineConfig(mode="general", trace=True)).trace
+    assert trace["n_extended"] > PREFIX_DIAMETER_CAP
+    assert check_hierarchy(trace).passed
+    row = trace["per_sigma"][1]["levels"][0]
+    assert row["i"] == 1
+    row["potentials"][0] += row["scale"]
+    failed = [c["name"] for c in check_hierarchy(trace).failures()]
+    assert failed == ["delta_identity[sigma=1,level=1]"]
 
 
 def test_check_hierarchy_flags_understated_potential():
