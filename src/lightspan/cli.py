@@ -24,8 +24,10 @@ from .generate import grid_graph, planar_triangulation, random_connected_graph, 
 from .graphs import (
     FormatError,
     WeightedGraph,
+    build_mst,
     format_graph,
     format_points,
+    mst_weight,
     parse_graph,
     parse_points,
 )
@@ -117,7 +119,7 @@ def cmd_build(args) -> int:
         kept = greedy_spanner(g, args.t)
         elapsed = (time.perf_counter() - t0) * 1000.0
         stretch, witness = measure_stretch(g, kept)
-        mst_w = _mst_weight(g)
+        mst_w = mst_weight(g, build_mst(g))
         h_w = sum(g.edges[i][2] for i in kept)
         stats = {
             "mode": "greedy",
@@ -159,12 +161,6 @@ def cmd_build(args) -> int:
         }
         print(json.dumps(summary))
     return 0
-
-
-def _mst_weight(g: WeightedGraph) -> float:
-    from .graphs import build_mst
-
-    return sum(g.edges[i][2] for i in build_mst(g))
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +225,7 @@ def cmd_verify(args) -> int:
     except NotSpanning as exc:
         print(json.dumps({"passed": False, "error": str(exc)}))
         return 1
-    mst_w = _mst_weight(g)
+    mst_w = mst_weight(g, build_mst(g))
     h_w = sum(g.edges[i][2] for i in h_ids)
     report = {
         "passed": args.stretch is None or stretch <= args.stretch * (1.0 + 1e-9),

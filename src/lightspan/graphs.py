@@ -256,6 +256,14 @@ def build_mst(g: WeightedGraph) -> list[int]:
     return tree
 
 
+def mst_weight(g: WeightedGraph, mst_ids: list[int]) -> float:
+    """Total weight of the MST edges mst_ids; ValueError when it overflows a float."""
+    total = sum(g.edges[i][2] for i in mst_ids)
+    if not math.isfinite(total):
+        raise ValueError(f"MST weight overflows a float: {len(mst_ids)} edges sum to {total}")
+    return total
+
+
 def indexed_adjacency(n: int, edges) -> list[list[tuple[int, float, int]]]:
     """Per-vertex (neighbor, weight, edge index) lists of (a, b, w, ...) edges,
     both directions of each edge appended in edge order."""

@@ -24,6 +24,7 @@ from .graphs import (
     WeightedGraph,
     build_mst,
     dedup_parallel,
+    mst_weight,
     normalize,
     subdivide_mst,
 )
@@ -228,12 +229,11 @@ def _transform(g: WeightedGraph, cfg: PipelineConfig, backend, timings: dict):
     t0 = time.perf_counter()
     mst_ids = build_mst(g)
     timings["mst"] = time.perf_counter() - t0
-    mst_w = sum(g.edges[i][2] for i in mst_ids)
-    if mst_w <= 0.0 or g.m == 0:
-        return set(range(g.m)), mst_ids, mst_w, [], None
-
+    mst_w = mst_weight(g, mst_ids)
     eps = cfg.eps()
-    w_bar = eps * mst_w / g.n
+    # a single vertex has MST weight 0; any positive w_bar then leaves
+    # nothing to subdivide or classify
+    w_bar = eps * mst_w / g.n if mst_w > 0 else 1.0
     t0 = time.perf_counter()
     sub = subdivide_mst(g, mst_ids, w_bar)
     schedule = classify_edges(g, mst_ids, w_bar, eps, cfg.psi_value())

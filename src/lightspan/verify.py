@@ -129,8 +129,9 @@ def greedy_spanner(g: WeightedGraph, t: float) -> list[int]:
     """Classic path-greedy t-spanner, the quality baseline.
 
     Edges in ascending (weight, id) order; an edge joins when the current
-    spanner has no path of length <= t*w between its endpoints.  Dijkstra
-    runs are truncated at the decision threshold.
+    spanner has no path of length <= t*w between its endpoints, or none at
+    all (t*w may overflow to inf).  Dijkstra runs are truncated at the
+    decision threshold.
     """
     if not (1.0 <= t < math.inf):
         raise ValueError(f"stretch must be a finite float >= 1, got {t}")
@@ -140,7 +141,7 @@ def greedy_spanner(g: WeightedGraph, t: float) -> list[int]:
         u, v, w = g.edges[eid]
         limit = t * w
         dist = dijkstra(adj, u, cutoff=limit * (1.0 + 1e-12), targets={v})
-        if dist[v] > limit:
+        if dist[v] > limit or dist[v] == math.inf:
             kept.append(eid)
             adj[u].append((v, w))
             adj[v].append((u, w))

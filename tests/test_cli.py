@@ -107,6 +107,32 @@ def test_build_trace_then_verify_trace(tmp_path, capsys):
     assert report["passed"] is True
 
 
+# hand-written inputs of 1 and 2 vertices; the 2-point udg pair lies
+# within the default radius 1
+_TINY_INPUTS = {
+    ("graph", 1): "1 0\n",
+    ("graph", 2): "2 1\n0 1 1.5\n",
+    ("points", 1): "1 2\n0.5 0.5\n",
+    ("points", 2): "2 2\n0 0\n0.3 0.4\n",
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 60])
+@pytest.mark.parametrize("mode", ["general", "minor", "euclidean", "udg"])
+def test_every_traced_build_passes_verify_trace(tmp_path, capsys, mode, n):
+    inp, trace = tmp_path / "input", tmp_path / "trace.json"
+    kind = "points" if mode in ("euclidean", "udg") else "graph"
+    if n == 60:
+        gen = {"general": ("graph", "--m", "150"), "minor": ("planar",)}.get(mode, ("points",))
+        run("gen", *gen, "--n", "60", "--seed", "1", "--out", str(inp))
+    else:
+        inp.write_text(_TINY_INPUTS[kind, n])
+    assert run("build", mode, str(inp), "--out", str(tmp_path / "h.graph"), "--trace", str(trace)) == 0
+    capsys.readouterr()
+    assert run("verify", "trace", str(trace)) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+
+
 @pytest.mark.parametrize(
     "case, named",
     [
@@ -166,6 +192,15 @@ def test_build_greedy(tmp_path, capsys):
     summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert summary["stretch_measured"] <= 3.0 + 1e-9
     assert run("verify", "graph", str(g), "--spanner", str(h), "--stretch", "3.0") == 0
+
+
+def test_build_greedy_keeps_a_bridge_whose_stretch_limit_overflows(tmp_path):
+    # t * 1e308 is inf: the bridge must still join, with every t
+    g, h = tmp_path / "g.graph", tmp_path / "h.graph"
+    g.write_text("3 2\n0 1 1\n1 2 1e308\n")
+    for t in ("3", "1.5"):
+        assert run("build", "greedy", str(g), "--t", t, "--out", str(h)) == 0
+        assert parse_graph(h.read_text()).m == 2
 
 
 def test_build_greedy_has_no_trace_flag(tmp_path, capsys):
@@ -292,6 +327,20 @@ def test_overflowing_weight_ratio_is_a_usage_error(tmp_path, capsys):
     assert "weight ratio exceeds the float range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb", ["build", "verify"])
+def test_an_mst_weight_that_overflows_is_a_usage_error(tmp_path, capsys, verb):
+    g = tmp_path / "g.graph"
+    g.write_text("4 3\n0 1 1\n1 2 1e308\n2 3 1e308\n")
+    if verb == "build":
+        assert run("build", "general", str(g), "--out", "-") == 2
+    else:
+        assert run("verify", "graph", str(g), "--spanner", str(g)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: MST weight overflows a float")
+    assert captured.err.count("\n") == 1
+
+
 def _cli_in_2gb(*argv: str) -> subprocess.CompletedProcess:
     """The CLI in a fresh interpreter with 2 GB of address space and a 60 s
     timeout, so that a build which tries to exhaust memory fails the test
@@ -384,7 +433,7 @@ def test_sweep_epsilon_param(tmp_path):
     "field, value, named",
     [
         ("per_sigma", [], "per_sigma must be an object"),
-        ("final_phi", "x", "with final_phi and levels"),
+        ("final_phi", "x", "with final_phi"),
         ("members", [[0, "a"]], "levels.0.members must be"),
         ("edges", [[0, 1]], "edges must be"),
     ],

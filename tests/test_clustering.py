@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lightspan.clustering import STRICT_EPS, _State, cluster_level
+from lightspan.clustering import STRICT_EPS, _State, cluster_level, step1_high_nodes
 from lightspan.graphs import indexed_adjacency
 from lightspan.hierarchy import POTENTIAL_RATIO, ClusterGraph
 
@@ -79,6 +79,22 @@ def test_step1_groups_heavy_hub_with_whole_neighborhood():
     assert 0 in star
     assert out.node_kind[0] == "high"
     assert not out.degenerate
+
+
+def test_step1_blocked_center_joins_its_least_grouped_neighbors_part():
+    # at eps 0.9 a node is heavy from 69 class edges.  Center 0 stars over
+    # 2..70; center 1 reaches 70 and 5 (grouped by 0) and 71..137, so it is
+    # blocked and joins through one class edge, the one to its least grouped
+    # neighbor 5; its other neighbors then join through their edge to it.
+    eps = 0.9
+    classes = [(0, v, L) for v in range(2, 71)] + [(1, 70, L), (1, 5, L)]
+    classes += [(1, v, L) for v in range(71, 138)]
+    cg = make_cg([0.0] * 138, [(v, v + 1, L) for v in range(137)], classes)
+    state = _State(cg, eps, False)
+    assert step1_high_nodes(state) == [0, 1]
+    assert len(state.parts) == 1 and set(state.owner) == {0}
+    # edges 0..68 form the star, 70 is (1, 5) and 71.. are 1's own; 69 = (1, 70) is not used
+    assert state.parts[0].class_eids == list(range(69)) + list(range(70, 138))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -31,13 +32,16 @@ from lightspan.pipeline import (
     PipelineConfig,
     _cone_angle,
     _neighbours,
+    _rep_positions,
     _yao_base,
+    build_hi,
     light_spanner_general,
     light_spanner_geometric,
     light_spanner_minor_free,
     stretch_rho,
 )
-from lightspan.ssa import cone_selector
+from lightspan.ssa import SsaOutput, cone_selector
+from test_clustering import make_cg
 
 STATS_KEYS = {
     "mode",
@@ -224,6 +228,35 @@ def test_two_vertex_graph():
     assert res.edges == [(0, 1, 3.5)]
     assert res.stats["stretch_measured"] == 1.0
     assert res.stats["lightness"] == 1.0
+
+
+def test_build_hi_sends_the_heavy_heavy_remainder_to_the_backend():
+    # nodes 0, 1, 2, 4, 5 are heavy and 3 is not; edge 0 lies inside a part
+    cfg = PipelineConfig(mode="general", eps_user=0.25)
+    w = 3.5  # in the level's window [4 / 1.25, 4)
+    pairs = [(0, 1, w), (1, 2, w), (2, 3, w), (4, 5, w), (0, 4, w)]
+    cg = make_cg([0.0] * 6, [(v, v + 1, 1.0) for v in range(5)], pairs, scale=4.0)
+    outcome = SimpleNamespace(class_eids=[[0]], node_kind=["high"] * 3 + ["low+"] + ["high"] * 2)
+    seen = []
+
+    def backend(inp):
+        seen.append(inp)
+        return SsaOutput(pruned=[0, 2], sparsity=1.0)
+
+    kept = build_hi(cg, outcome, backend, cfg, [0.0])
+    (inp,) = seen
+    assert inp.edges == [(1, 2, w, 1), (4, 5, w, 3), (0, 4, w, 4)]
+    assert inp.level_scale == 4.0 / 1.25
+    assert inp.nodes == [0, 1, 2, 4, 5] and inp.reps == {v: v for v in inp.nodes}
+    # inside {0}, touching node 3 {2}, pruned by the backend {1, 4}
+    assert kept == {0, 1, 2, 4}
+
+
+def test_rep_positions_refuses_a_virtual_representative():
+    p = PointSet(2, [(0.0, 0.0), (1.0, 0.0)])
+    assert _rep_positions(p, {7: 1}) == {7: (1.0, 0.0)}
+    with pytest.raises(ValueError, match="node 8 has a virtual representative 2"):
+        _rep_positions(p, {7: 1, 8: 2})
 
 
 # ---------------------------------------------------------------------------

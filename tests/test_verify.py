@@ -171,6 +171,12 @@ def test_greedy_output_meets_its_own_stretch_bound():
             assert stretch <= t * (1.0 + 1e-9)
 
 
+def test_greedy_keeps_a_bridge_whose_stretch_limit_overflows():
+    # 3 * 1e308 is inf, and a missing path (inf) is not above it
+    g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1e308)])
+    assert greedy_spanner(g, 3.0) == [0, 1]
+
+
 def test_greedy_rejects_bad_t():
     with pytest.raises(ValueError):
         greedy_spanner(WeightedGraph(2, [(0, 1, 1.0)]), 0.5)
