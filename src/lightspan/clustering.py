@@ -107,6 +107,20 @@ class _State:
     def alive(self, v: int) -> bool:
         return self.owner[v] == -1
 
+    def host(self, adj, nodes, tags=None) -> tuple[int, int]:
+        """The part of the least grouped neighbour of `nodes` in `adj` (of a
+        part tagged in `tags`, when given) and the first edge id to it."""
+        best = None
+        for u in nodes:
+            for nb, _, eid in adj[u]:
+                ow = self.owner[nb]
+                if ow != -1 and (tags is None or self.parts[ow].tag in tags):
+                    if best is None or nb < best[0]:
+                        best = (nb, eid)
+        if best is None:
+            raise InvariantViolation("an ungrouped node has no grouped neighbour to join")
+        return self.owner[best[0]], best[1]
+
     # ------------------------------------------------------------------
     # forest helpers over ungrouped nodes
 
@@ -255,14 +269,7 @@ def step1_high_nodes(state: _State) -> list[int]:
     for v in high + [u for center in high for u, _, _ in class_adj[center]]:
         if state.owner[v] != -1:
             continue
-        host = min(
-            (u for u, _, _ in class_adj[v] if state.owner[u] != -1),
-            default=None,
-        )
-        if host is None:
-            raise InvariantViolation("ungrouped step-1 node with no grouped neighbor")
-        cid = next(c for u, _, c in class_adj[v] if u == host)
-        xid = state.owner[host]
+        xid, cid = state.host(class_adj, (v,))
         state.assign(v, xid)
         state.parts[xid].class_eids.append(cid)
         state.tick("step1")
@@ -423,16 +430,9 @@ def step3_augment(state: _State) -> None:
         if state.long_path(tree) is not None:
             movers.extend(u for u in tree.nodes if len(state.tree_adj[u]) >= 3)
     for phi in sorted(movers):
-        host_edge = None
-        for u, _, tid in state.tree_adj[phi]:
-            if state.owner[u] != -1 and state.parts[state.owner[u]].tag in ("Step1", "Step2"):
-                if host_edge is None or u < host_edge[0]:
-                    host_edge = (u, tid)
-        if host_edge is None:
-            raise InvariantViolation("stranded branching node has no grouped neighbor")
-        xid = state.owner[host_edge[0]]
+        xid, tid = state.host(state.tree_adj, (phi,), ("Step1", "Step2"))
         state.assign(phi, xid)
-        state.parts[xid].tree_eids.append(host_edge[1])
+        state.parts[xid].tree_eids.append(tid)
         state.tick("step3")
 
 
@@ -561,17 +561,8 @@ def step5_paths(state: _State) -> bool:
                 xid = state.new_part("Step5-pref")
                 state.parts[xid].collapse = adm < state.L
             else:
-                host = None
-                for u in comp:
-                    for nb, _, tid in state.tree_adj[u]:
-                        ow = state.owner[nb]
-                        if ow != -1 and state.parts[ow].tag in grouped_tags:
-                            if host is None or nb < host[0]:
-                                host = (nb, tid)
-                if host is None:
-                    raise InvariantViolation("short tree with no grouped neighbor")
-                xid = state.owner[host[0]]
-                state.parts[xid].tree_eids.append(host[1])
+                xid, tid = state.host(state.tree_adj, comp, grouped_tags)
+                state.parts[xid].tree_eids.append(tid)
             inner = set(comp)
             for u in sorted(comp):
                 state.assign(u, xid)

@@ -256,11 +256,14 @@ def build_mst(g: WeightedGraph) -> list[int]:
     return tree
 
 
-def mst_weight(g: WeightedGraph, mst_ids: list[int]) -> float:
-    """Total weight of the MST edges mst_ids; ValueError when it overflows a float."""
+def mst_weight(g: WeightedGraph, mst_ids: list[int], scale: float = 1.0) -> float:
+    """Total weight of the MST edges mst_ids; ValueError when it overflows a
+    float once multiplied by `scale`, the factor normalize divided out."""
     total = sum(g.edges[i][2] for i in mst_ids)
-    if not math.isfinite(total):
-        raise ValueError(f"MST weight overflows a float: {len(mst_ids)} edges sum to {total}")
+    if not math.isfinite(total * scale):
+        raise ValueError(
+            f"MST weight overflows a float: {len(mst_ids)} edges sum to {total * scale}"
+        )
     return total
 
 

@@ -55,8 +55,10 @@ def classify_edges(g, mst_edge_ids: list[int], w_bar: float, eps: float, psi: fl
     """
     if not (0.0 < eps < 1.0):
         raise ValueError(f"eps must be in (0,1), got {eps}")
-    if not (0.0 < psi <= 1.0):
-        raise ValueError(f"psi must be in (0,1], got {psi}")
+    # 1 + psi must exceed 1 in floats, or every class would share one
+    # threshold and log(1 + psi) would be 0
+    if not (0.0 < psi <= 1.0) or 1.0 + psi == 1.0:
+        raise ValueError(f"psi must be in (0,1] with 1 + psi > 1 in floating point, got {psi}")
     mu = max(1, math.ceil(math.log(1.0 / eps) / math.log(1.0 + psi)))
     sch = LevelSchedule(psi=psi, eps=eps, mu=mu, w_bar=w_bar, light_edges=[], per_sigma={})
     T = sch.level_threshold

@@ -224,12 +224,12 @@ def _class_spanner(g, sub, schedule, sigma, cfg, backend, ssa_clock, level_rows,
     return kept
 
 
-def _transform(g: WeightedGraph, cfg: PipelineConfig, backend, timings: dict):
+def _transform(g: WeightedGraph, cfg: PipelineConfig, backend, timings: dict, scale: float):
     """Shared trunk: MST, split, per-class hierarchies, union."""
     t0 = time.perf_counter()
     mst_ids = build_mst(g)
     timings["mst"] = time.perf_counter() - t0
-    mst_w = mst_weight(g, mst_ids)
+    mst_w = mst_weight(g, mst_ids, scale)
     eps = cfg.eps()
     # a single vertex has MST weight 0; any positive w_bar then leaves
     # nothing to subdivide or classify
@@ -268,24 +268,22 @@ def _transform(g: WeightedGraph, cfg: PipelineConfig, backend, timings: dict):
         trace["n_extended"] = sub.extended_vertex_count
         trace["eps"] = eps
         trace["per_class_edges"] = {s: sorted(v) for s, v in per_class.items()}
-    return h_all, mst_ids, mst_w, level_rows, trace
+    return h_all, mst_w, level_rows, trace
 
 
 # ---------------------------------------------------------------------------
 # certification
 
 
-def _certify(
-    g: WeightedGraph, h_ids: set[int], mst_ids: list[int], cfg: PipelineConfig
-) -> tuple[float, int]:
+def _certify(g: WeightedGraph, h_ids: set[int], cfg: PipelineConfig) -> tuple[float, int]:
     """Measured max stretch over input edges and its witness edge id.
 
     Up to the cap every input edge is a demand.  Above it, the demands are
-    the MST edges plus a seeded sample of sample_size input edges, and the
-    search goes through measure_stretch's alias batched_stretch.  A sampled
-    source mostly has one demanded endpoint, so its search is steered from
-    that endpoint: a bounded backward search whose distances guide a
-    forward A* (see verify.measure_stretch).  normalize makes the least
+    a seeded sample of sample_size input edges, and the search goes through
+    measure_stretch's alias batched_stretch.  A sampled source mostly has
+    one demanded endpoint, so its search is steered from that endpoint: a
+    bounded backward search whose distances guide a forward A* (see
+    verify.measure_stretch).  normalize makes the least
     weight 1, so a steered distance up to 2**20 is kept without a second
     search.  Both cases run in pure Python.
     """
@@ -293,9 +291,7 @@ def _certify(
 
     if g.n <= cfg.verify_cap:
         return measure_stretch(g, sorted(h_ids))
-    rng = random.Random(cfg.seed)
-    sample = set(mst_ids)
-    sample.update(rng.sample(range(g.m), min(cfg.sample_size, g.m)))
+    sample = random.Random(cfg.seed).sample(range(g.m), min(cfg.sample_size, g.m))
     # Demands whose edge sits in the spanner are met by that edge itself
     # (ratio <= 1, never above the 1.0 floor), so only the rest need searches.
     outside = [i for i in sorted(sample) if i not in h_ids]
@@ -335,14 +331,14 @@ def _result_stats(cfg, g, h_ids, mst_w, stretch, witness, level_rows, timings, s
 
 
 def _run(g, cfg, backend, certify, timings, scale=1.0, extra=None) -> SpannerResult:
-    """Shared driver tail: transform, certify(h_ids, mst_ids), stats, result.
+    """Shared driver tail: transform, certify(h_ids), stats, result.
 
     Drivers pass certify as a lambda that looks the certifier up by name at
     call time, so a hook swapped onto the module attribute still sees it.
     """
-    h_ids, mst_ids, mst_w, level_rows, trace = _transform(g, cfg, backend, timings)
+    h_ids, mst_w, level_rows, trace = _transform(g, cfg, backend, timings, scale)
     t0 = time.perf_counter()
-    stretch, witness = certify(h_ids, mst_ids)
+    stretch, witness = certify(h_ids)
     timings["verify"] = time.perf_counter() - t0
     stats = _result_stats(cfg, g, h_ids, mst_w, stretch, witness, level_rows, timings, scale, extra)
     kept = sorted(h_ids)
@@ -353,7 +349,7 @@ def _run(g, cfg, backend, certify, timings, scale=1.0, extra=None) -> SpannerRes
 def _graph_driver(g: WeightedGraph, cfg: PipelineConfig, backend) -> SpannerResult:
     g.validate()
     gn, scale = normalize(dedup_parallel(g))
-    certify = lambda h_ids, mst_ids: _certify(gn, h_ids, mst_ids, cfg)  # noqa: E731
+    certify = lambda h_ids: _certify(gn, h_ids, cfg)  # noqa: E731
     return _run(gn, cfg, backend, certify, {}, scale)
 
 
@@ -381,7 +377,7 @@ def light_spanner_geometric(p: PointSet, cfg: PipelineConfig) -> SpannerResult:
     base_time = time.perf_counter() - t0
 
     backend = lambda inp: ssa_geom(inp, p.d, _rep_positions(p, inp.reps))  # noqa: E731
-    certify = lambda h_ids, _: _certify_geometric(p, base, h_ids, cfg)  # noqa: E731
+    certify = lambda h_ids: _certify_geometric(p, base, h_ids, cfg)  # noqa: E731
     extra = {"eps_base": cfg.eps_base(), "base_edges": base.m}
     return _run(base, cfg, backend, certify, {"base": base_time}, extra=extra)
 
@@ -542,16 +538,15 @@ def _yao_scan_2d(pts, theta: float, tau: int, cone_of) -> set[tuple[int, int]]:
         pending: list[tuple[float, int]] = []
         r = 0
         while True:
-            i0, i1, j0, j1 = max(ci - r, 0), min(ci + r, nx - 1), max(cj - r, 0), min(cj + r, ny - 1)
-            ring = []
-            for i in range(i0, i1 + 1):
-                if r and ci - r < i < ci + r:
-                    js = [j for j in (cj - r, cj + r) if j0 <= j <= j1]
-                else:
-                    js = range(j0, j1 + 1)
-                for j in js:
-                    ring += cells[i * ny + j]
-            pending += [(dist(pu, q), v) for v, q in ring if v != u]
+            # ring r's cells: those at i = ci -/+ r, then those at j = cj -/+ r
+            # strictly between them; each run is a slice of cells[i * ny + j]
+            j0, j1 = max(cj - r, 0), min(cj + r, ny - 1)
+            ring = [cells[i * ny + j0 : i * ny + j1 + 1] for i in {ci - r, ci + r} if 0 <= i < nx]
+            if r:
+                i0, i1 = max(ci - r + 1, 0), min(ci + r - 1, nx - 1)
+                cols = [j for j in (cj - r, cj + r) if 0 <= j < ny]
+                ring += [cells[i0 * ny + j : i1 * ny + j + 1 : ny] for j in cols]
+            pending += [(dist(pu, q), v) for span in ring for cell in span for v, q in cell if v != u]
             pending.sort()
             safe = (r - slack) * side * (1.0 - 1e-9) if r < last_ring else math.inf
             k = 0

@@ -182,7 +182,6 @@ def _int_keys(d: dict) -> dict:
     return {int(k): v for k, v in d.items()}
 
 
-PREFIX_DIAMETER_CAP = 500
 # top-level fields of a trace that check_hierarchy reads
 TRACE_FIELDS = ("per_sigma", "mst_weight", "edges", "n_extended", "sub_tree_edges", "light_ids")
 
@@ -205,8 +204,9 @@ def _list_of(item) -> Callable[[object], bool]:
 
 def _check_trace_shape(trace: dict) -> None:
     """Raise FormatError naming the first field that check_hierarchy could
-    not read: a wrong type, a missing final_phi or level entry, or a vertex
-    or edge id out of range."""
+    not read: a wrong type, a missing final_phi or level entry, a vertex or
+    edge id out of range, or a level whose members do not partition the
+    extended vertices."""
 
     def need(ok: bool, field: str, what: str) -> None:
         if not ok:
@@ -235,8 +235,10 @@ def _check_trace_shape(trace: dict) -> None:
             need(isinstance(row, dict), here, "an object")
             need(_is_int(row.get("i")), f"{here}.i", "an integer")
             need(_is_number(row.get("scale")), f"{here}.scale", "a number")
-            need(_list_of(_list_of(lambda v: _is_index(v, n_ext)))(row.get("members")),
-                 f"{here}.members", "a list of vertex lists")
+            members = row.get("members")
+            need(_list_of(_list_of(_is_int))(members)
+                 and sorted(v for ms in members for v in ms) == list(range(n_ext)),
+                 f"{here}.members", "a partition of the extended vertices into lists")
             need(numbers(row.get("potentials")) and len(row["potentials"]) >= len(row["members"]),
                  f"{here}.potentials", "a number per member list")
             need(edge_ids(row.get("h_i")), f"{here}.h_i", "a list of ids of edges")
@@ -251,10 +253,10 @@ def check_hierarchy(trace: dict) -> VerificationReport:
     total is the sum of its potentials; final_phi follows the last level):
     the first level's total is at most the MST weight; each level's drop to
     the next total equals the sum of its local_change; every corrected_change
-    entry is nonnegative up to rounding; and (on small instances) each
-    cluster's induced diameter in the already-built edge set is bounded by
-    its potential.  A trace that is not an object, lacks a field of
-    TRACE_FIELDS or holds a field of the wrong shape raises FormatError.
+    entry is nonnegative up to rounding; and each cluster's induced diameter
+    in the already-built edge set is bounded by its potential.  A trace that
+    is not an object, lacks a field of TRACE_FIELDS or holds a field of the
+    wrong shape raises FormatError.
     """
     if not isinstance(trace, dict):
         raise FormatError(None, f"trace must be a JSON object, got {type(trace).__name__}")
@@ -299,14 +301,7 @@ def check_hierarchy(trace: dict) -> VerificationReport:
                 None if not bad else {"scale": scale, "violations": bad[:5]},
             )
 
-        if n_ext <= PREFIX_DIAMETER_CAP:
-            _check_prefix_diameter(report, trace, sigma, levels, edges, n_ext)
-        else:
-            report.add(
-                f"prefix_diameter[sigma={sigma}]",
-                True,
-                {"skipped": f"extended vertex count {n_ext} above cap"},
-            )
+        _check_prefix_diameter(report, trace, sigma, levels, edges, n_ext)
     return report
 
 
@@ -314,44 +309,38 @@ def _check_prefix_diameter(report, trace, sigma, levels, edges, n_ext) -> None:
     """Induced diameter of each cluster vs its potential, level by level.
 
     The edge set grows with the level: subdivided MST, light edges, then
-    every edge kept at the class's earlier levels.
+    every edge kept at the class's earlier levels.  A level's members
+    partition the extended vertices, so one pass over the built edges
+    gives every cluster its induced subgraph, each vertex numbered by its
+    position in its cluster's member list.  Each diameter is exact: one
+    Dijkstra run per member.
     """
-    base = [tuple(e) for e in trace["sub_tree_edges"]]
-    base += [edges[eid] for eid in trace["light_ids"]]
-
-    kept_before: list[int] = []
+    built = [tuple(e) for e in trace["sub_tree_edges"]]
+    built += [edges[eid] for eid in trace["light_ids"]]
+    owner = [0] * n_ext
+    pos = [0] * n_ext
     for row in levels:
-        adj = WeightedGraph(n_ext, base + [edges[eid] for eid in kept_before]).weighted_adjacency()
+        for cid, members in enumerate(row["members"]):
+            for x, v in enumerate(members):
+                owner[v] = cid
+                pos[v] = x
+        subs = [[[] for _ in members] for members in row["members"]]
+        for u, v, w in built:
+            if owner[u] == owner[v]:
+                sub = subs[owner[u]]
+                sub[pos[u]].append((pos[v], w))
+                sub[pos[v]].append((pos[u], w))
 
         worst = None
-        for cid, members in enumerate(row["members"]):
-            phi = row["potentials"][cid]
-            mem = set(members)
-            sub: dict[int, list[tuple[int, float]]] = {m: [] for m in members}
-            for m in members:
-                for nb, w in adj[m]:
-                    if nb in mem:
-                        sub[m].append((nb, w))
-            # diameter of the induced subgraph, exact
-            order = sorted(mem)
-            pos = {m: x for x, m in enumerate(order)}
-            small: list[list[tuple[int, float]]] = [
-                [(pos[nb], w) for nb, w in sub[m]] for m in order
-            ]
+        for cid, sub in enumerate(subs):
             diam = 0.0
-            for x in range(len(order)):
-                dist = dijkstra(small, x)
-                far = max(dist)
-                if math.isinf(far):
-                    diam = math.inf
+            for x in range(len(sub)):
+                diam = max(diam, *dijkstra(sub, x))
+                if math.isinf(diam):
                     break
-                diam = max(diam, far)
+            phi = row["potentials"][cid]
             if diam > phi * (1.0 + 1e-9) + 1e-12:
                 worst = {"cluster": cid, "diameter": diam, "phi": phi, "level": row["i"]}
                 break
-        report.add(
-            f"prefix_diameter[sigma={sigma},level={row['i']}]",
-            worst is None,
-            worst,
-        )
-        kept_before.extend(row["h_i"])
+        report.add(f"prefix_diameter[sigma={sigma},level={row['i']}]", worst is None, worst)
+        built += [edges[eid] for eid in row["h_i"]]

@@ -130,7 +130,15 @@ def test_every_traced_build_passes_verify_trace(tmp_path, capsys, mode, n):
     assert run("build", mode, str(inp), "--out", str(tmp_path / "h.graph"), "--trace", str(trace)) == 0
     capsys.readouterr()
     assert run("verify", "trace", str(trace)) == 0
-    assert json.loads(capsys.readouterr().out)["passed"] is True
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"] is True
+    # the potential invariant is checked at every level row, whatever the size
+    per_sigma = json.loads(trace.read_text())["per_sigma"]
+    assert [c["name"] for c in report["checks"] if c["name"].startswith("prefix_diameter")] == [
+        f"prefix_diameter[sigma={sigma},level={row['i']}]"
+        for sigma in sorted(per_sigma, key=int)
+        for row in per_sigma[sigma]["levels"]
+    ]
 
 
 @pytest.mark.parametrize(
@@ -327,18 +335,35 @@ def test_overflowing_weight_ratio_is_a_usage_error(tmp_path, capsys):
     assert "weight ratio exceeds the float range" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("verb", ["build", "verify"])
+@pytest.mark.parametrize("verb", ["build", "verify", "build-halved"])
 def test_an_mst_weight_that_overflows_is_a_usage_error(tmp_path, capsys, verb):
-    g = tmp_path / "g.graph"
-    g.write_text("4 3\n0 1 1\n1 2 1e308\n2 3 1e308\n")
-    if verb == "build":
-        assert run("build", "general", str(g), "--out", "-") == 2
-    else:
+    # build-halved: normalize halves every weight, so the MST weight fits a
+    # float until the stats multiply it back
+    g, stats = tmp_path / "g.graph", tmp_path / "stats.json"
+    g.write_text(f"4 3\n0 1 {2 if verb == 'build-halved' else 1}\n1 2 1e308\n2 3 1e308\n")
+    if verb == "verify":
         assert run("verify", "graph", str(g), "--spanner", str(g)) == 2
+    else:
+        assert run("build", "general", str(g), "--out", "-", "--stats", str(stats)) == 2
+        assert not stats.exists()
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: MST weight overflows a float")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("psi", ["1e-300", "1e-17", "1.1e-16", "5e-324"])
+def test_a_psi_below_float_resolution_is_a_usage_error(tmp_path, capsys, psi):
+    # 1 + psi rounds to 1, so every weight class would share one threshold
+    g = tmp_path / "g.graph"
+    assert run("gen", "graph", "--n", "20", "--m", "50", "--out", str(g)) == 0
+    capsys.readouterr()
+    assert run("build", "general", str(g), "--psi", psi, "--out", "-") == 2
+    assert run("sweep", "--param", "n", "--values", "20", "--seeds", "1", "--psi", psi) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 2
+    assert captured.err.count("error: psi must be in (0,1] with 1 + psi > 1") == 2
 
 
 def _cli_in_2gb(*argv: str) -> subprocess.CompletedProcess:
@@ -436,6 +461,7 @@ def test_sweep_epsilon_param(tmp_path):
         ("final_phi", "x", "with final_phi"),
         ("members", [[0, "a"]], "levels.0.members must be"),
         ("edges", [[0, 1]], "edges must be"),
+        ("overlap", None, "levels.0.members must be a partition of the extended vertices"),
     ],
 )
 def test_trace_with_a_wrong_nested_shape_is_a_format_error(tmp_path, capsys, field, value, named):
@@ -448,6 +474,10 @@ def test_trace_with_a_wrong_nested_shape_is_a_format_error(tmp_path, capsys, fie
         cls[field] = value
     elif field == "members":
         cls["levels"][0][field] = value
+    elif field == "overlap":
+        # a member list that repeats a vertex of another cluster
+        members = cls["levels"][0]["members"]
+        members[0].append(members[1][0])
     else:
         blob[field] = value
     trace.write_text(json.dumps(blob))

@@ -12,7 +12,6 @@ from lightspan.generate import random_connected_graph
 from lightspan.graphs import WeightedGraph, build_mst
 from lightspan.pipeline import PipelineConfig, light_spanner_general
 from lightspan.verify import (
-    PREFIX_DIAMETER_CAP,
     NotSpanning,
     VerificationReport,
     check_hierarchy,
@@ -241,18 +240,37 @@ def test_check_hierarchy_flags_negative_corrected_drop():
     assert any(c["name"].startswith("corrected_drop_nonneg") and not c["passed"] for c in rep.checks)
 
 
-def test_check_hierarchy_derives_totals_from_the_level_potentials():
-    # above PREFIX_DIAMETER_CAP extended vertices, so only the potential
-    # ledger can notice a level-1 potential raised by that level's scale
+def _traced_600():
     g = random_connected_graph(600, 2400, 5)
-    trace = light_spanner_general(g, PipelineConfig(mode="general", trace=True)).trace
-    assert trace["n_extended"] > PREFIX_DIAMETER_CAP
+    return light_spanner_general(g, PipelineConfig(mode="general", trace=True)).trace
+
+
+def test_check_hierarchy_derives_totals_from_the_level_potentials():
+    # a level-1 potential raised by that level's scale still bounds its
+    # cluster's diameter, so only the potential ledger can notice it
+    trace = _traced_600()
+    assert trace["n_extended"] > 500
     assert check_hierarchy(trace).passed
     row = trace["per_sigma"][1]["levels"][0]
     assert row["i"] == 1
     row["potentials"][0] += row["scale"]
     failed = [c["name"] for c in check_hierarchy(trace).failures()]
     assert failed == ["delta_identity[sigma=1,level=1]"]
+
+
+def test_check_hierarchy_checks_every_potential_of_a_large_build():
+    # move one level-1 cluster's whole potential onto another: every level
+    # total stays, so only the cluster's induced diameter can show it
+    trace = _traced_600()
+    assert trace["n_extended"] > 500
+    row = trace["per_sigma"][1]["levels"][0]
+    assert row["i"] == 1
+    j = next(j for j, ms in enumerate(row["members"]) if len(ms) > 1)
+    k = (j + 1) % len(row["members"])
+    row["potentials"][k] += row["potentials"][j]
+    row["potentials"][j] = 0.0
+    failed = [c["name"] for c in check_hierarchy(trace).failures()]
+    assert failed == ["prefix_diameter[sigma=1,level=1]"]
 
 
 def test_check_hierarchy_flags_understated_potential():
