@@ -115,11 +115,11 @@ def cmd_build(args) -> int:
     if mode == "greedy":
         g = parse_graph(text)
         g.validate()
+        mst_w = mst_weight(g, build_mst(g))
         t0 = time.perf_counter()
         kept = greedy_spanner(g, args.t)
         elapsed = (time.perf_counter() - t0) * 1000.0
         stretch, witness = measure_stretch(g, kept)
-        mst_w = mst_weight(g, build_mst(g))
         h_w = sum(g.edges[i][2] for i in kept)
         stats = {
             "mode": "greedy",
@@ -220,12 +220,12 @@ def cmd_verify(args) -> int:
             print(f"error: spanner edge ({u},{v},{w}) not found in graph", file=sys.stderr)
             return 1
         h_ids.append(pick)
+    mst_w = mst_weight(g, build_mst(g))
     try:
         stretch, witness = measure_stretch(g, h_ids)
     except NotSpanning as exc:
         print(json.dumps({"passed": False, "error": str(exc)}))
         return 1
-    mst_w = mst_weight(g, build_mst(g))
     h_w = sum(g.edges[i][2] for i in h_ids)
     report = {
         "passed": args.stretch is None or stretch <= args.stretch * (1.0 + 1e-9),
@@ -244,15 +244,17 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    values = [_num(v) for v in args.values.split(",") if v]
-    if not values:
+    if not 0.0 < args.density < math.inf:
+        raise ValueError(f"--density must be a positive finite float, got {args.density}")
+    points = [_sweep_point(args, v) for v in args.values.split(",") if v]
+    if not points:
         raise ValueError("sweep needs at least one value")
     if args.param == "k" and args.mode != "general":
         raise ValueError(f"--param k only reaches general mode, not {args.mode}")
     rows = []
-    for value in values:
+    for point in points:
         for seed in range(args.seeds):
-            rows.append(_sweep_run(args, value, seed))
+            rows.append(_sweep_run(args, point, seed))
     out = args.out
     if out in (None, "-"):
         writer = csv.DictWriter(sys.stdout, fieldnames=CSV_COLUMNS)
@@ -266,24 +268,32 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _num(text: str):
-    v = float(text)
-    return int(v) if v == int(v) else v
-
-
-def _sweep_run(args, value, seed: int) -> dict:
+def _sweep_point(args, text: str) -> tuple:
+    """(n, m, k, eps) of one --values entry; n, m and k must be finite
+    integers and eps a finite float."""
+    value = float(text)
+    if not math.isfinite(value) or args.param != "eps" and not value.is_integer():
+        kind = "a finite float" if args.param == "eps" else "a finite integer"
+        raise ValueError(f"--param {args.param} needs {kind}, got {text!r}")
     n, m, k, eps = args.n, args.m, args.k, args.epsilon
-    if args.param == "n":
-        n = int(value)
-        m = int(round(n * args.density)) if args.mode in ("general", "minor") else None
-    elif args.param == "m":
-        m = int(value)
-        n = max(2, int(round(m / args.density)))
-    elif args.param == "eps":
-        eps = float(value)
+    try:
+        if args.param == "n":
+            n = int(value)
+            m = int(round(n * args.density)) if args.mode in ("general", "minor") else None
+        elif args.param == "m":
+            m = int(value)
+            n = max(2, int(round(m / args.density)))
+    except OverflowError:
+        raise ValueError(f"--values {text} at --density {args.density} overflows a float") from None
+    if args.param == "eps":
+        eps = value
     elif args.param == "k":
         k = int(value)
+    return n, m, k, eps
 
+
+def _sweep_run(args, point: tuple, seed: int) -> dict:
+    n, m, k, eps = point
     cfg = PipelineConfig(
         mode=args.mode, k=k, radius=args.radius, eps_user=eps, psi=args.psi,
         seed=seed, strict=args.strict,

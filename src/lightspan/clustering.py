@@ -84,15 +84,8 @@ class _State:
         self.counters: dict[str, int] = {
             "scan": 0,  # nodes reached by forest and re-seed component walks
             "sweep": 0,  # nodes reached by diameter sweeps and ball walks
-            "step1": 0,
-            "step2": 0,
-            "step3": 0,
-            "step4": 0,
-            "step5": 0,
+            "step3": 0,  # nodes step 3 re-homed
         }
-
-    def tick(self, key: str, amount: int = 1) -> None:
-        self.counters[key] += amount
 
     def new_part(self, tag: str) -> int:
         self.parts.append(Subgraph([], [], [], tag))
@@ -124,12 +117,15 @@ class _State:
     # ------------------------------------------------------------------
     # forest helpers over ungrouped nodes
 
-    def component(self, seed: int, counter: str = "scan") -> tuple[list[int], float, int]:
+    def component(
+        self, seed: int, counter: str = "scan", cutoff: float = float("inf")
+    ) -> tuple[list[int], float, int]:
         """Nodes of seed's ungrouped component in walk order, its total
         augmented weight, and its deepest node from seed (ties to the least
-        id).  Each reached node's augmented distance from seed is left in
-        depth and its tree edge towards seed in up; counters[counter] counts
-        the nodes."""
+        id).  A node other than seed at augmented distance >= cutoff is
+        reached but not walked past.  Each reached node's distance from seed
+        is left in depth and its tree edge towards seed in up;
+        counters[counter] counts the nodes."""
         tree_adj, owner, w, depth, mark, up = (
             self.tree_adj, self.owner, self.w, self.depth, self.mark, self.up
         )
@@ -153,7 +149,8 @@ class _State:
                     up[u] = tid
                     if d > best_d or (d == best_d and u < best):
                         best, best_d = u, d
-                    stack.append(u)
+                    if d < cutoff:
+                        stack.append(u)
         self.counters[counter] += len(nodes)
         return nodes, total, best
 
@@ -262,7 +259,6 @@ def step1_high_nodes(state: _State) -> list[int]:
                 state.assign(v, xid)
         for u, _, cid in class_adj[center]:
             state.parts[xid].class_eids.append(cid)
-        state.tick("step1", len(closed))
 
     # leftover heavy nodes, then their neighbors, join the least grouped
     # class neighbor's part
@@ -272,7 +268,6 @@ def step1_high_nodes(state: _State) -> list[int]:
         xid, cid = state.host(class_adj, (v,))
         state.assign(v, xid)
         state.parts[xid].class_eids.append(cid)
-        state.tick("step1")
 
     if state.strict:
         for x in state.parts:
@@ -288,32 +283,12 @@ def step1_high_nodes(state: _State) -> list[int]:
 def _carve_ball(state: _State, phi: int) -> tuple[set[int], float]:
     """Nodes within augmented distance < L of phi plus the first node at >= L
     on each branch; returns the ball and the radius actually reached."""
-    L, w, owner, tree_adj, depth = state.L, state.w, state.owner, state.tree_adj, state.depth
-    ball = {phi}
-    radius = depth[phi] = w[phi]
-    stack = [phi]
+    nodes, _, far = state.component(phi, "sweep", state.L)
     xid = state.new_part("Step2")
-    eids = state.parts[xid].tree_eids
-    pops = 0
-    while stack:
-        v = stack.pop()
-        pops += 1
-        dv = depth[v]
-        for u, wt, tid in tree_adj[v]:
-            if owner[u] != -1 or u in ball:
-                continue
-            d = depth[u] = dv + wt + w[u]
-            ball.add(u)
-            if d > radius:
-                radius = d
-            eids.append(tid)
-            if d < L:
-                stack.append(u)
-    state.tick("step2", pops)
-    state.tick("sweep", len(ball))
-    for v in sorted(ball):
+    state.parts[xid].tree_eids.extend(state.up[u] for u in nodes[1:])
+    for v in sorted(nodes):
         state.assign(v, xid)
-    return ball, radius
+    return set(nodes), state.depth[far]
 
 
 def step2_branching(state: _State) -> None:
@@ -364,9 +339,6 @@ def step2_branching(state: _State) -> None:
         suspect_set: set[int] = set()
         while j < len(path):
             v = path[j]
-            if owner[v] != -1:
-                j += 1
-                continue
             deg = 0
             off_path = False
             for u, _, _ in tree_adj[v]:
@@ -433,7 +405,7 @@ def step3_augment(state: _State) -> None:
         xid, tid = state.host(state.tree_adj, (phi,), ("Step1", "Step2"))
         state.assign(phi, xid)
         state.parts[xid].tree_eids.append(tid)
-        state.tick("step3")
+        state.counters["step3"] += 1
 
 
 # ---------------------------------------------------------------------------
@@ -486,11 +458,9 @@ class _Paths:
         lo = j
         while lo - 1 >= 0 and self.state.alive(path[lo - 1]) and self._dist(pid, lo - 1, j) <= self.state.L:
             lo -= 1
-            self.state.tick("step4")
         hi = j
         while hi + 1 < len(path) and self.state.alive(path[hi + 1]) and self._dist(pid, j, hi + 1) <= self.state.L:
             hi += 1
-            self.state.tick("step4")
         return pid, lo, hi
 
     def recolor_inward(self, pid: int, flank: int, direction: int) -> None:
@@ -503,7 +473,6 @@ class _Paths:
                 break
             self.color[path[j]] = "r"
             j += direction
-            self.state.tick("step4")
 
 
 def step4_blue_pairs(state: _State) -> None:
@@ -569,7 +538,6 @@ def step5_paths(state: _State) -> bool:
                 for nb, _, tid in state.tree_adj[u]:
                     if nb in inner and nb > u:
                         state.parts[xid].tree_eids.append(tid)
-            state.tick("step5", len(comp))
             continue
 
         # long leftover: must be a bare path; split greedily
@@ -601,7 +569,6 @@ def step5_paths(state: _State) -> bool:
             is_end = lo == 0 or hi == len(path) - 1
             xid = state.new_part("Step5-pref" if is_end else "Step5-intrnl")
             state.take_window(xid, path, peids, lo, hi)
-            state.tick("step5", hi - lo + 1)
     return degenerate
 
 

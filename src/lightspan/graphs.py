@@ -240,8 +240,11 @@ def normalize(g: WeightedGraph) -> tuple[WeightedGraph, float]:
 def build_mst(g: WeightedGraph) -> list[int]:
     """Edge ids of the minimum spanning tree; ties broken by (weight, u, v).
 
-    Raises DisconnectedGraph when g has more than one component.
+    Raises DisconnectedGraph when g has more than one component, before any
+    per-vertex allocation when g has fewer than n - 1 edges.
     """
+    if g.m < g.n - 1:
+        raise DisconnectedGraph(f"graph has more than one component ({g.n} vertices, {g.m} edges)")
     order = sorted(range(g.m), key=lambda i: (g.edges[i][2], min(g.edges[i][:2]), max(g.edges[i][:2])))
     uf = UnionFind(g.n)
     tree: list[int] = []

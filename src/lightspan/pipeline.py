@@ -421,7 +421,10 @@ def _neighbours(p: PointSet, cfg: PipelineConfig):
 
         return every
     r = cfg.radius
-    cell = [tuple(math.floor(c / r) for c in pt) for pt in p.points]
+    try:
+        cell = [tuple(math.floor(c / r) for c in pt) for pt in p.points]
+    except OverflowError:
+        raise ValueError(f"radius {r} is too small: a coordinate over it overflows a float") from None
     buckets: dict[tuple[int, ...], list[int]] = {}
     for i, key in enumerate(cell):
         buckets.setdefault(key, []).append(i)

@@ -236,7 +236,7 @@ def _check_trace_shape(trace: dict) -> None:
             need(_is_int(row.get("i")), f"{here}.i", "an integer")
             need(_is_number(row.get("scale")), f"{here}.scale", "a number")
             members = row.get("members")
-            need(_list_of(_list_of(_is_int))(members)
+            need(_list_of(_list_of(_is_int))(members) and sum(map(len, members)) == n_ext
                  and sorted(v for ms in members for v in ms) == list(range(n_ext)),
                  f"{here}.members", "a partition of the extended vertices into lists")
             need(numbers(row.get("potentials")) and len(row["potentials"]) >= len(row["members"]),

@@ -141,6 +141,40 @@ def chain_shadow(
     return total + sum(node_weights[x] for x in path)
 
 
+def tree_ball(
+    node_weights: list[float], edges: list[tuple[int, int, float]], grouped: set[int], phi: int, scale: float
+) -> tuple[list[int], float, set[int]]:
+    """The ball carved around the ungrouped node phi of a node-weighted tree:
+    phi plus every ungrouped node whose tree path from phi runs only through
+    ungrouped nodes, each strictly between the two at augmented depth < scale.
+    Returns (sorted ball, deepest augmented depth in it, ids of the tree edges
+    joining two ball nodes).  A node's depth sums, from phi outward, the
+    node and edge weights of its path with both ends included."""
+    adj: list[list[tuple[int, float]]] = [[] for _ in node_weights]
+    for u, v, w in edges:
+        adj[u].append((v, w))
+        adj[v].append((u, w))
+    parent: dict[int, int | None] = {phi: None}
+    depth = {phi: node_weights[phi]}
+    order = [phi]
+    for x in order:
+        for y, w in adj[x]:
+            if y not in parent:
+                parent[y] = x
+                depth[y] = depth[x] + w + node_weights[y]
+                order.append(y)
+    ball = []
+    for v in order:
+        path = [v]
+        while parent[path[-1]] is not None:
+            path.append(parent[path[-1]])
+        if not grouped.intersection(path) and all(depth[x] < scale for x in path[1:-1]):
+            ball.append(v)
+    inside = set(ball)
+    eids = {i for i, (u, v, _) in enumerate(edges) if u in inside and v in inside}
+    return sorted(ball), max(depth[v] for v in ball), eids
+
+
 def girth(n: int, pairs: list[tuple[int, int]]) -> float:
     """Length of the shortest cycle: for each edge, drop it and count the
     hops still needed between its endpoints."""

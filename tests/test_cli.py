@@ -415,6 +415,75 @@ def test_points_whose_distances_overflow_are_refused(tmp_path, capsys, mode):
     assert "point distances overflow a float" in captured.err
 
 
+@pytest.mark.parametrize("command", ["build", "sweep"])
+def test_a_radius_too_small_for_the_grid_is_a_usage_error(tmp_path, capsys, command):
+    # 1 / 1e-320 overflows a float, so the point has no grid cell
+    p = tmp_path / "p.points"
+    p.write_text("3 2\n0 0\n1 0\n2 0\n")
+    if command == "build":
+        assert run("build", "udg", str(p), "--radius", "1e-320", "--out", "-") == 2
+    else:
+        argv = ("--mode", "udg", "--param", "n", "--values", "20", "--seeds", "1", "--radius", "1e-320")
+        assert run("sweep", *argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: radius 1e-320 is too small: a coordinate over it overflows a float\n"
+    assert run("build", "udg", str(p), "--radius", "inf", "--out", "-") == 0
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--param", "n", "--values", "inf"), "--param n needs a finite integer, got 'inf'"),
+        (("--param", "n", "--values", "1e400"), "--param n needs a finite integer, got '1e400'"),
+        (("--param", "eps", "--values", "0.1,inf"), "--param eps needs a finite float, got 'inf'"),
+        (("--param", "k", "--values", "2.5", "--n", "20", "--m", "50"),
+         "--param k needs a finite integer, got '2.5'"),
+        (("--param", "m", "--values", "5", "--density", "0"),
+         "--density must be a positive finite float, got 0.0"),
+        (("--param", "n", "--values", "20", "--density", "inf"),
+         "--density must be a positive finite float, got inf"),
+        (("--param", "m", "--values", "5", "--density", "1e-320"),
+         "--values 5 at --density 1e-320 overflows a float"),
+    ],
+    ids=["n-inf", "n-1e400", "eps-inf", "k-2.5", "density-0", "density-inf", "m-over-density"],
+)
+def test_bad_sweep_values_are_usage_errors(capsys, argv, message):
+    assert run("sweep", "--seeds", "1", *argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("build", "general"), ("build", "minor"), ("build", "greedy"), ("verify", "graph")],
+    ids=["general", "minor", "greedy", "verify"],
+)
+def test_a_graph_with_too_few_edges_is_refused_before_allocating(tmp_path, argv):
+    # 10^9 vertices and no edges: per-vertex arrays would take tens of GB
+    g = tmp_path / "huge.graph"
+    g.write_text("1000000000 0\n")
+    extra = ("--spanner", str(g)) if argv[0] == "verify" else ("--out", "-")
+    out = _cli_in_2gb(*argv, str(g), *extra)
+    assert out.returncode == 2, out.stderr
+    assert out.stderr == "error: graph has more than one component (1000000000 vertices, 0 edges)\n"
+
+
+def test_a_trace_with_fewer_members_than_vertices_is_refused_before_allocating(tmp_path):
+    # listing range(10^12) to compare with the members would take terabytes
+    level = {"i": 1, "scale": 1.0, "members": [], "potentials": [], "h_i": [],
+             "local_change": [], "corrected_change": []}
+    blob = {"n_extended": 10**12, "mst_weight": 1.0, "edges": [], "sub_tree_edges": [],
+            "light_ids": [], "per_sigma": {"0": {"final_phi": 0.0, "levels": [level]}}}
+    trace = tmp_path / "trace.json"
+    trace.write_text(json.dumps(blob))
+    out = _cli_in_2gb("verify", "trace", str(trace))
+    assert out.returncode == 3, out.stderr
+    assert out.stderr.count("\n") == 1
+    assert "levels.0.members must be a partition of the extended vertices" in out.stderr
+
+
 def test_sweep_csv_shape(tmp_path):
     out = tmp_path / "rows.csv"
     code = run(

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lightspan.clustering import STRICT_EPS, _State, cluster_level, step1_high_nodes
+import oracles
+from lightspan.clustering import STRICT_EPS, _carve_ball, _State, cluster_level, step1_high_nodes
 from lightspan.graphs import indexed_adjacency
 from lightspan.hierarchy import POTENTIAL_RATIO, ClusterGraph
 
@@ -127,6 +128,38 @@ def test_step2_carves_ball_around_branching_node():
     need = cg.level_scale / (2 * G * cg.prev_scale)
     assert len(ball) >= need
     assert not out.degenerate
+
+
+def test_carve_ball_matches_the_brute_force_ball():
+    # seeded node-weighted trees, some nodes already grouped; a tree depth of
+    # a few L makes most balls stop at the level scale on some branch
+    stopped = blocked = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        n = rng.randrange(1, 80)
+        node_w = [rng.uniform(0.0, 0.3 * L) for _ in range(n)]
+        tree = [
+            (v - 1 if rng.random() < 0.6 else rng.randrange(v), v, rng.uniform(0.0, 0.2 * L))
+            for v in range(1, n)
+        ]
+        grouped = set(rng.sample(range(n), rng.randrange(n // 3 + 1)))
+        phi = rng.choice([v for v in range(n) if v not in grouped])
+        state = _State(make_cg(node_w, tree, []), EPS, False)
+        if grouped:
+            xid = state.new_part("Step1")
+            for v in sorted(grouped):
+                state.assign(v, xid)
+        ball, radius = _carve_ball(state, phi)
+        want, want_radius, want_eids = oracles.tree_ball(node_w, tree, grouped, phi, L)
+        assert sorted(ball) == want
+        assert radius == want_radius
+        part = state.parts[-1]
+        assert part.tag == "Step2" and part.nodes == want
+        assert sorted(part.tree_eids) == sorted(want_eids)
+        assert all(state.owner[v] == len(state.parts) - 1 for v in want)
+        stopped += radius >= L
+        blocked += any(u in grouped for v in want for u, _, _ in state.tree_adj[v])
+    assert stopped >= 10 and blocked >= 10
 
 
 # ---------------------------------------------------------------------------
