@@ -20,7 +20,7 @@ import sys
 import time
 
 from . import __version__
-from .generate import grid_graph, planar_triangulation, random_connected_graph, uniform_points
+from .generate import check_vertex_count, grid_graph, planar_triangulation, random_connected_graph, uniform_points
 from .graphs import (
     FormatError,
     WeightedGraph,
@@ -270,7 +270,7 @@ def cmd_sweep(args) -> int:
 
 def _sweep_point(args, text: str) -> tuple:
     """(n, m, k, eps) of one --values entry; n, m and k must be finite
-    integers and eps a finite float."""
+    integers, eps a finite float and n within what a build takes."""
     value = float(text)
     if not math.isfinite(value) or args.param != "eps" and not value.is_integer():
         kind = "a finite float" if args.param == "eps" else "a finite integer"
@@ -289,6 +289,7 @@ def _sweep_point(args, text: str) -> tuple:
         eps = value
     elif args.param == "k":
         k = int(value)
+    check_vertex_count(n)
     return n, m, k, eps
 
 

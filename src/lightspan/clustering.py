@@ -45,7 +45,6 @@ class ClusteringOutcome:
     node_kind: list[str]
     degenerate: bool
     collapse: list[bool]
-    level_scale: float
     counters: dict[str, int] = field(default_factory=dict)
 
 
@@ -652,6 +651,5 @@ def cluster_level(cg: ClusterGraph, eps: float, strict: bool = False) -> Cluster
         node_kind=kind,
         degenerate=degenerate,
         collapse=[x.collapse for x in state.parts],
-        level_scale=cg.level_scale,
         counters=dict(state.counters),
     )

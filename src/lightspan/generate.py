@@ -10,7 +10,13 @@ import heapq
 import math
 import random
 
-from .graphs import PointSet, WeightedGraph
+from .graphs import SUBDIVISION_VERTEX_BUDGET, PointSet, WeightedGraph
+
+
+def check_vertex_count(count: int) -> None:
+    """Refuse, before allocating, more vertices than subdivide_mst (so any build) accepts."""
+    if count > SUBDIVISION_VERTEX_BUDGET:
+        raise ValueError(f"{count} vertices are more than the {SUBDIVISION_VERTEX_BUDGET} a build takes")
 
 
 def _random_tree_edges(n: int, rng: random.Random) -> list[tuple[int, int]]:
@@ -44,6 +50,7 @@ def random_connected_graph(
     """Random spanning tree plus uniform extra edges; weights U[w_lo, w_hi]."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    check_vertex_count(n)
     max_m = n * (n - 1) // 2
     if m < n - 1 or m > max_m:
         raise ValueError(f"m = {m} infeasible for n = {n} (need {n - 1} <= m <= {max_m})")
@@ -64,6 +71,7 @@ def uniform_points(n: int, d: int, seed: int) -> PointSet:
     """n distinct uniform points in the unit cube."""
     if n < 1 or d < 1:
         raise ValueError(f"need n >= 1 and d >= 1, got n = {n}, d = {d}")
+    check_vertex_count(n)
     rng = random.Random(seed)
     seen: set[tuple[float, ...]] = set()
     pts: list[tuple[float, ...]] = []
@@ -79,6 +87,7 @@ def grid_graph(rows: int, cols: int, seed: int, jitter: float = 0.0) -> Weighted
     """rows x cols lattice; unit weights, optionally jittered by U[0, jitter]."""
     if rows < 1 or cols < 1:
         raise ValueError(f"need rows, cols >= 1, got {rows} x {cols}")
+    check_vertex_count(rows * cols)
     if not (0.0 <= jitter < math.inf):
         raise ValueError(f"jitter must be a finite float >= 0, got {jitter}")
     rng = random.Random(seed)

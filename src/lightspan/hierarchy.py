@@ -113,17 +113,10 @@ def augmented_diameter(node_weights: dict[int, float], edges: list[tuple[int, in
 
 @dataclass
 class ClusterLevel:
-    """Partition of the extended vertex set at one level of the hierarchy.
+    """Partition of the extended vertex set at one level of the hierarchy."""
 
-    A cluster's representative is its least original vertex, or its least
-    vertex when all are virtual, so it is original exactly when it is below
-    the original vertex count.
-    """
-
-    prev_scale: float
     members: list[list[int]]
     potentials: list[float]
-    representatives: list[int]
     # contracted tree over cluster ids: (cu, cv, weight, subdivided tree edge id)
     tree_edges: list[tuple[int, int, float, int]]
     # original vertex -> id of the cluster holding it
@@ -261,10 +254,8 @@ def build_level1(sub: SubdividedMst, level0_scale: float) -> ClusterLevel:
     ]
 
     return ClusterLevel(
-        prev_scale=level0_scale,
         members=clusters,
         potentials=potentials,
-        representatives=[min(ms) for ms in clusters],
         tree_edges=tree_edges,
         cluster_of=cluster_of[: sub.n_original],
     )
@@ -287,7 +278,7 @@ class ClusterGraph:
     level_scale: float
     prev_scale: float
     w_bar: float
-    node_source: list[int]
+    members: list[list[int]]  # the level's lists, not a copy
 
     @property
     def n_nodes(self) -> int:
@@ -370,6 +361,7 @@ def build_cluster_graph(
     eps: float,
     *,
     level_scale: float,
+    prev_scale: float,
     w_bar: float,
 ) -> ClusterGraph:
     """Lift one weight class onto the cluster nodes of the current level.
@@ -404,9 +396,9 @@ def build_cluster_graph(
         tree_adj=tree_adj,
         class_edges=kept,
         level_scale=level_scale,
-        prev_scale=level.prev_scale,
+        prev_scale=prev_scale,
         w_bar=w_bar,
-        node_source=level.representatives,
+        members=level.members,
     )
 
 
@@ -443,10 +435,8 @@ def contract_level(level: ClusterLevel, subgraphs: "ClusteringOutcome") -> Clust
         raise ValueError("contracted tree does not span the new level")
 
     return ClusterLevel(
-        prev_scale=subgraphs.level_scale,
         members=members,
         potentials=list(subgraphs.adm),
-        representatives=[min(ms) for ms in members],
         tree_edges=tree_edges,
         cluster_of=[new_of[c] for c in level.cluster_of],
     )

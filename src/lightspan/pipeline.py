@@ -117,9 +117,12 @@ class PipelineConfig:
 
 @dataclass
 class SpannerResult:
-    edges: list[tuple[int, int, float]]  # de-normalized spanner edges
-    edge_ids: list[int]  # ids into the graph the transformation ran on
-    run_graph: WeightedGraph  # that graph (input, or the geometric base)
+    """edge_ids index run_graph: the input minus parallel edges, scaled to least weight 1 (ids shift
+    on a multigraph), or the geometric base; so does stats "stretch_witness_edge" outside geometric modes."""
+
+    edges: list[tuple[int, int, float]]  # the kept edges with the input's weights, bit for bit
+    edge_ids: list[int]
+    run_graph: WeightedGraph
     stats: dict
     trace: dict | None = None
 
@@ -157,10 +160,10 @@ def build_hi(cg, outcome, backend, cfg: PipelineConfig, ssa_clock: list[float]) 
             edges=high_pairs,
             level_scale=cg.level_scale / (1.0 + cfg.psi_value()),
             eps=cfg.eps(),
-            beta=DEFAULT_BETA,
             psi=cfg.psi_value(),
             gamma=cfg.rho(),
-            reps={v: cg.node_source[v] for v in nodes},
+            # the least member is original if any is: original ids are below virtual ones
+            reps={v: min(cg.members[v]) for v in nodes},
             strict=cfg.strict,
         )
         inp.validate()
@@ -184,9 +187,9 @@ def _class_spanner(g, sub, schedule, sigma, cfg, backend, ssa_clock, level_rows,
     kept: set[int] = set()
     rows_here: list[dict] = []
     for i in range(1, max_i + 1):
-        li = schedule.level_threshold(sigma, i)
+        li, prev = schedule.level_threshold(sigma, i), schedule.level_threshold(sigma, i - 1)
         cg = build_cluster_graph(
-            lvl, cells.get(i, []), g, cfg.t(), cfg.eps(), level_scale=li, w_bar=sub.w_bar
+            lvl, cells.get(i, []), g, cfg.t(), cfg.eps(), level_scale=li, prev_scale=prev, w_bar=sub.w_bar
         )
         outcome = cluster_level(cg, cfg.eps(), strict=cfg.strict)
         h_i = build_hi(cg, outcome, backend, cfg, ssa_clock)
@@ -330,11 +333,12 @@ def _result_stats(cfg, g, h_ids, mst_w, stretch, witness, level_rows, timings, s
 # mode drivers
 
 
-def _run(g, cfg, backend, certify, timings, scale=1.0, extra=None) -> SpannerResult:
+def _run(g, source, cfg, backend, certify, timings, scale=1.0, extra=None) -> SpannerResult:
     """Shared driver tail: transform, certify(h_ids), stats, result.
 
     Drivers pass certify as a lambda that looks the certifier up by name at
     call time, so a hook swapped onto the module attribute still sees it.
+    Output weights come from source, the graph g was normalised from.
     """
     h_ids, mst_w, level_rows, trace = _transform(g, cfg, backend, timings, scale)
     t0 = time.perf_counter()
@@ -342,15 +346,15 @@ def _run(g, cfg, backend, certify, timings, scale=1.0, extra=None) -> SpannerRes
     timings["verify"] = time.perf_counter() - t0
     stats = _result_stats(cfg, g, h_ids, mst_w, stretch, witness, level_rows, timings, scale, extra)
     kept = sorted(h_ids)
-    edges = [(u, v, w * scale) for u, v, w in (g.edges[i] for i in kept)]
+    edges = [source.edges[i] for i in kept]
     return SpannerResult(edges=edges, edge_ids=kept, run_graph=g, stats=stats, trace=trace)
 
 
 def _graph_driver(g: WeightedGraph, cfg: PipelineConfig, backend) -> SpannerResult:
     g.validate()
-    gn, scale = normalize(dedup_parallel(g))
+    gn, scale = normalize(source := dedup_parallel(g))
     certify = lambda h_ids: _certify(gn, h_ids, cfg)  # noqa: E731
-    return _run(gn, cfg, backend, certify, {}, scale)
+    return _run(gn, source, cfg, backend, certify, {}, scale)
 
 
 def light_spanner_general(g: WeightedGraph, cfg: PipelineConfig) -> SpannerResult:
@@ -379,7 +383,7 @@ def light_spanner_geometric(p: PointSet, cfg: PipelineConfig) -> SpannerResult:
     backend = lambda inp: ssa_geom(inp, p.d, _rep_positions(p, inp.reps))  # noqa: E731
     certify = lambda h_ids: _certify_geometric(p, base, h_ids, cfg)  # noqa: E731
     extra = {"eps_base": cfg.eps_base(), "base_edges": base.m}
-    return _run(base, cfg, backend, certify, {"base": base_time}, extra=extra)
+    return _run(base, base, cfg, backend, certify, {"base": base_time}, extra=extra)
 
 
 def _rep_positions(p: PointSet, reps: dict[int, int]) -> dict[int, tuple[float, ...]]:
@@ -587,7 +591,8 @@ def _certify_geometric(p: PointSet, base: WeightedGraph, h_ids: set[int], cfg: P
 
     Up to the cap this is every pair (every in-range pair for unit disks);
     above it, a seeded pair sample.  The spanner edges always enter the
-    comparison graph so the measured value certifies them too.
+    comparison graph so the measured value certifies them too.  The witness
+    is a position in the sorted list of those pairs, not a base edge id.
 
     A sampled source has about one demanded endpoint, so each sampled pair
     gets its own A* search, guided by the straight-line distance to its far

@@ -45,16 +45,14 @@ class SsaInput:
     edges: list[tuple[int, int, float, int]]  # (u, v, w, source edge id)
     level_scale: float  # L, the lower end of the class edge weights
     eps: float
-    beta: float = DEFAULT_BETA
-    psi: float | None = None  # width of the weight window, defaults to eps
-    gamma: float | None = None  # running stretch constant of the lighter part
+    psi: float  # width of the weight window
+    gamma: float  # running stretch constant of the lighter part
     reps: dict[int, int] = field(default_factory=dict)
     strict: bool = False
 
     def validate(self) -> None:
-        width = 1.0 + (self.psi if self.psi is not None else self.eps)
         lo = self.level_scale * (1.0 - 1e-9)
-        hi = self.level_scale * width * (1.0 + 1e-9)
+        hi = self.level_scale * (1.0 + self.psi) * (1.0 + 1e-9)
         members = set(self.nodes)
         for u, v, w, _ in self.edges:
             if not (lo <= w <= hi):
@@ -195,9 +193,7 @@ def ssa_geom(inp: SsaInput, d: int, positions) -> SsaOutput:
     distance break toward the lower node id, then the lower source edge id.
     """
     if inp.strict:
-        cap = 1.0 / (8 * inp.beta + 6)
-        if inp.gamma:
-            cap = min(cap, 1.0 / inp.gamma)
+        cap = min(1.0 / (8 * DEFAULT_BETA + 6), 1.0 / inp.gamma)
         if inp.eps > cap:
             raise ValueError(f"strict cone mode needs eps <= {cap}, got {inp.eps}")
     if d < 1:

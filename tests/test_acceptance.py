@@ -161,7 +161,7 @@ def _make_cg(node_weights, tree_pairs, class_pairs, scale=1.0):
         level_scale=scale,
         prev_scale=STRICT_EPS * scale,
         w_bar=scale * 1e-6,
-        node_source=list(range(len(node_weights))),
+        members=[[v] for v in range(len(node_weights))],
     )
 
 

@@ -470,6 +470,39 @@ def test_a_graph_with_too_few_edges_is_refused_before_allocating(tmp_path, argv)
     assert out.stderr == "error: graph has more than one component (1000000000 vertices, 0 edges)\n"
 
 
+_SWEEP_HUGE_N = ("sweep", "--param", "n", "--values", "1000000000", "--seeds", "1")
+
+
+@pytest.mark.parametrize(
+    "argv, count",
+    [
+        (_SWEEP_HUGE_N + ("--mode", "euclidean"), 10**9),
+        (_SWEEP_HUGE_N + ("--mode", "general"), 10**9),
+        (("sweep", "--param", "n", "--values", "20,1000000000", "--seeds", "1"), 10**9),
+        (("gen", "points", "--n", "1000000000"), 10**9),
+        (("gen", "grid", "--rows", "100000", "--cols", "100000"), 10**10),
+    ],
+    ids=["sweep-euclidean", "sweep-general", "sweep-second-value", "gen-points", "gen-grid"],
+)
+def test_an_instance_no_build_takes_is_refused_before_allocating(argv, count):
+    # subdivide_mst refuses more than 10^6 vertices, so generating more
+    # would only exhaust memory; a sweep checks every value before its first run
+    out = _cli_in_2gb(*argv)
+    assert out.returncode == 2, out.stderr
+    assert out.stdout == ""
+    assert out.stderr == f"error: {count} vertices are more than the 1000000 a build takes\n"
+
+
+@pytest.mark.parametrize("mode", ["general", "minor"])
+def test_built_edges_carry_the_input_weights(tmp_path, capsys, mode):
+    # normalised by the least weight 3.0 and scaled back, 3.1 would print as
+    # 3.1000000000000005
+    g = tmp_path / "w.graph"
+    g.write_text("3 2\n0 1 3.0\n1 2 3.1\n")
+    assert run("build", mode, str(g), "--out", "-") == 0
+    assert capsys.readouterr().out == "3 2\n0 1 3.0\n1 2 3.1\n"
+
+
 def test_a_trace_with_fewer_members_than_vertices_is_refused_before_allocating(tmp_path):
     # listing range(10^12) to compare with the members would take terabytes
     level = {"i": 1, "scale": 1.0, "members": [], "potentials": [], "h_i": [],

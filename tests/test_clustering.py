@@ -30,7 +30,7 @@ def make_cg(node_weights, tree_pairs, class_pairs, scale=L, prev=None, w_bar=Non
         level_scale=scale,
         prev_scale=prev,
         w_bar=w_bar,
-        node_source=list(range(len(node_weights))),
+        members=[[v] for v in range(len(node_weights))],
     )
 
 
@@ -128,6 +128,21 @@ def test_step2_carves_ball_around_branching_node():
     need = cg.level_scale / (2 * G * cg.prev_scale)
     assert len(ball) >= need
     assert not out.degenerate
+
+
+def test_step4_merged_window_is_a_contiguous_window_plus_its_class_edge():
+    # the one place a part gets a cycle: both ends of a class edge lie on
+    # one path, so step 4 merges their windows into one window plus the edge
+    n = 60
+    cg = make_cg([0.2 * L] * n, [(v, v + 1, 0.1 * L) for v in range(n - 1)], [(30, 31, 0.9 * L)])
+    out = cluster_level(cg, 0.25)
+    (j,) = [j for j, tag in enumerate(out.tags) if tag == "Step4"]
+    part = sorted(out.groups[j])
+    assert part == list(range(part[0], part[-1] + 1)) and {30, 31} <= set(part)
+    assert out.class_eids[j] == [0]
+    nw = {v: cg.node_weights[v] for v in part}
+    edges = [cg.tree_edges[v][:3] for v in part[:-1]] + [cg.class_edges[0][:3]]
+    assert out.adm[j] == oracles.augmented_diameter_paths(nw, edges)
 
 
 def test_carve_ball_matches_the_brute_force_ball():
@@ -349,18 +364,21 @@ def test_clustering_outcomes_are_pinned(monkeypatch):
     outs = []
     seen = {"step3": 0, "step4": 0}
 
-    def record(out):
+    def record(out, cg):
+        # the outcome's fields, then the level's scale
         outs.append([getattr(out, f.name) for f in dataclasses.fields(out) if f.name != "counters"])
+        outs[-1].append(cg.level_scale)
         seen["step3"] += out.counters["step3"]
         seen["step4"] += out.tags.count("Step4")
         return out
 
     real = pipeline.cluster_level
-    monkeypatch.setattr(pipeline, "cluster_level", lambda cg, eps, strict=False: record(real(cg, eps, strict)))
+    monkeypatch.setattr(pipeline, "cluster_level", lambda cg, eps, strict=False: record(real(cg, eps, strict), cg))
     for n, m, seed in ((300, 1200, 1), (600, 2400, 2), (1000, 4000, 3)):
         pipeline.light_spanner_general(random_connected_graph(n, m, seed), pipeline.PipelineConfig())
     for seed in range(6):
-        record(cluster_level(_random_cluster_graph(seed), EPS, strict=True))
+        cg = _random_cluster_graph(seed)
+        record(cluster_level(cg, EPS, strict=True), cg)
     assert seen["step3"] and seen["step4"]  # levels where step 3 moves nodes and step 4 forms parts
     assert hashlib.sha256(repr(outs).encode()).hexdigest() == CLUSTERING_PIN
 

@@ -150,9 +150,11 @@ def test_level1_cluster_scale_window():
 
 
 def test_level1_representatives_prefer_original_vertices():
+    # build_hi takes each cluster's least member as its representative
     _, _, sub = _subdivided(5)
     lvl = build_level1(sub, 1.6)
-    for ms, rep in zip(lvl.members, lvl.representatives):
+    for ms in lvl.members:
+        rep = min(ms)
         originals = [v for v in ms if v < sub.n_original]
         if originals:
             assert rep == min(originals)
@@ -273,7 +275,9 @@ def test_cluster_graph_drops_shadowed_edges():
     heavy_id = len(extra)
     extra.append((cu, cv, 10_000.0))
     g2 = type(g)(g.n, extra)
-    cg = build_cluster_graph(lvl, [heavy_id], g2, t, eps, level_scale=5.0, w_bar=sub.w_bar)
+    cg = build_cluster_graph(
+        lvl, [heavy_id], g2, t, eps, level_scale=5.0, prev_scale=1.2, w_bar=sub.w_bar
+    )
     if lvl.cluster_of[cu] != lvl.cluster_of[cv]:
         # adjacent clusters joined by one tree piece: shadow weight is well
         # under slack * 10000, so the class edge must be gone
@@ -295,7 +299,9 @@ def test_cluster_graph_keeps_min_parallel_edge():
     extra = list(g.edges) + [(u, v, 0.005), (u, v, 0.004), (v, u, 0.006)]
     g2 = type(g)(g.n, extra)
     ids3 = [g.m, g.m + 1, g.m + 2]
-    cg = build_cluster_graph(lvl, ids3, g2, 3.0, 0.3, level_scale=0.005, w_bar=sub.w_bar)
+    cg = build_cluster_graph(
+        lvl, ids3, g2, 3.0, 0.3, level_scale=0.005, prev_scale=1.4, w_bar=sub.w_bar
+    )
     kept = [(w, src) for _, _, w, src in cg.class_edges]
     assert kept == [(0.004, g.m + 1)]
 
@@ -315,7 +321,7 @@ def test_tree_adjacency_is_built_once_per_level(monkeypatch):
 
     g, ids, sub = _subdivided(4, n=8, m=12, w_bar=0.7)
     lvl = build_level1(sub, 1.4)
-    cg = build_cluster_graph(lvl, [], g, 3.0, 0.3, level_scale=2.8, w_bar=sub.w_bar)
+    cg = build_cluster_graph(lvl, [], g, 3.0, 0.3, level_scale=2.8, prev_scale=1.4, w_bar=sub.w_bar)
     assert cg.tree_adj == indexed_adjacency(lvl.cluster_count, lvl.tree_edges)
     assert _State(cg, 0.3, False).tree_adj is cg.tree_adj
 
@@ -329,10 +335,8 @@ def test_contract_level_closes_cycles_into_a_spanning_tree():
     # A={0,3}, B={1,4}, C={2} (A and B glued by class edges, not by the
     # tree) turn it into a triangle A-B-C with two parallel A-B candidates.
     lvl = ClusterLevel(
-        prev_scale=1.0,
         members=[[v] for v in range(5)],
         potentials=[1.0] * 5,
-        representatives=list(range(5)),
         tree_edges=[
             (0, 1, 2.0, 50),  # A-B, loses the tie on source id
             (1, 2, 1.0, 60),  # B-C
@@ -341,15 +345,12 @@ def test_contract_level_closes_cycles_into_a_spanning_tree():
         ],
         cluster_of=list(range(5)),
     )
-    outcome = SimpleNamespace(
-        groups=[[0, 3], [1, 4], [2]], level_scale=4.0, adm=[5.0, 6.0, 7.0]
-    )
+    outcome = SimpleNamespace(groups=[[0, 3], [1, 4], [2]], adm=[5.0, 6.0, 7.0])
     nxt = contract_level(lvl, outcome)
     # one candidate per node pair, min (weight, source id), then Kruskal
     assert nxt.tree_edges == [(1, 2, 1.0, 60), (0, 1, 2.0, 9)]
     assert len(nxt.tree_edges) == nxt.cluster_count - 1
     assert nxt.members == [[0, 3], [1, 4], [2]]
-    assert nxt.representatives == [0, 1, 2]
     assert nxt.potentials == [5.0, 6.0, 7.0]
     assert nxt.cluster_of == [0, 1, 2, 0, 1]
 
@@ -373,9 +374,7 @@ def test_cluster_map_matches_members(seed, n):
     ids = list(range(lvl.cluster_count))
     rng.shuffle(ids)
     k = rng.randint(1, len(ids))
-    outcome = SimpleNamespace(
-        groups=[ids[j::k] for j in range(k)], level_scale=3.2, adm=[0.0] * k
-    )
+    outcome = SimpleNamespace(groups=[ids[j::k] for j in range(k)], adm=[0.0] * k)
     _assert_cluster_map_matches_members(contract_level(lvl, outcome), sub.n_original)
 
 
@@ -409,7 +408,8 @@ def test_level1_outputs_are_pinned():
     outs, merged, whole = [], 0, 0
     for sub, scale in _level1_pin_cases():
         lvl = build_level1(sub, scale)
-        outs.append((lvl.members, lvl.potentials, lvl.representatives, lvl.tree_edges, lvl.cluster_of))
+        reps = [min(ms) for ms in lvl.members]  # build_hi takes the least member as representative
+        outs.append((lvl.members, lvl.potentials, reps, lvl.tree_edges, lvl.cluster_of))
         whole += lvl.cluster_count == 1
         merged += lvl.cluster_count > 1 and lvl.members[lvl.cluster_of[0]][0] != 0
     assert merged and whole  # the root-piece merge and the no-carve cluster both occur

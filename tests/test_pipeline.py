@@ -180,10 +180,27 @@ def test_output_weights_are_input_weights():
     res = light_spanner_general(g, PipelineConfig(mode="general", k=2, eps_user=0.25))
     in_weights = {(min(u, v), max(u, v), w) for u, v, w in g.edges}
     for u, v, w in res.edges:
-        assert any(
-            math.isclose(w, iw, rel_tol=1e-12) and {u, v} == {iu, iv}
-            for iu, iv, iw in in_weights
-        )
+        assert any(w == iw and {u, v} == {iu, iv} for iu, iv, iw in in_weights)
+
+
+def test_kept_ids_index_the_run_graph_of_a_multigraph():
+    # the heavier copy of (0, 1) comes first; dropping it shifts later ids
+    g = WeightedGraph(3, [(0, 1, 2.0), (0, 1, 1.0), (1, 2, 1.5)])
+    res = light_spanner_general(g, PipelineConfig(mode="general"))
+    assert res.run_graph.edges == [(0, 1, 1.0), (1, 2, 1.5)]
+    assert res.edge_ids == [0, 1]
+    assert res.edges == [res.run_graph.edges[i] for i in res.edge_ids]
+
+
+def test_geometric_witness_is_a_position_in_the_sorted_pairs():
+    # at n <= verify_cap every pair is demanded, so the certified pairs are
+    # all pairs in sorted order; the witness is not a base edge id
+    p = uniform_points(80, 2, 4)
+    res = light_spanner_geometric(p, PipelineConfig(mode="euclidean"))
+    pairs = [(u, v, p.distance(u, v)) for u in range(p.n) for v in range(u + 1, p.n)]
+    u, v, w = pairs[res.stats["stretch_witness_edge"]]
+    dist = oracles.floyd_warshall(p.n, res.edges)
+    assert dist[u][v] / w == res.stats["stretch_measured"]
 
 
 def test_trace_only_when_requested():

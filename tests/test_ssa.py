@@ -202,6 +202,7 @@ def test_same_cone_vectors_lie_within_theta(d, samples):
 
 
 def _level_input(nodes, edges, scale, eps=0.1, **kw):
+    kw = {"psi": eps, "gamma": 1.0, **kw}
     return SsaInput(nodes=nodes, edges=edges, level_scale=scale, eps=eps, **kw)
 
 
