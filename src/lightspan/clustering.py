@@ -233,15 +233,25 @@ class _State:
 # step 1: nodes with many class edges
 
 
+def heavy_threshold(eps: float) -> float:
+    """Class degree at which step 1 calls a node heavy."""
+    return 2.0 * POTENTIAL_RATIO / eps
+
+
+def heavy_nodes(class_edges, eps: float) -> list[int]:
+    """Nodes whose class degree reaches heavy_threshold(eps), ascending."""
+    degree = Counter(map(itemgetter(0), class_edges))
+    degree.update(map(itemgetter(1), class_edges))
+    thresh = heavy_threshold(eps)
+    return sorted(v for v, d in degree.items() if d >= thresh)
+
+
 def step1_high_nodes(state: _State) -> list[int]:
     """Group every heavily-connected node and its class neighborhood into stars."""
-    thresh = 2.0 * state.g / state.eps
     # most levels have no heavy node: count class degrees, and build the
     # class adjacency only when a node reaches the threshold
     edges = state.cg.class_edges
-    degree = Counter(map(itemgetter(0), edges))
-    degree.update(map(itemgetter(1), edges))
-    high = sorted(v for v, d in degree.items() if d >= thresh)
+    high = heavy_nodes(edges, state.eps)
     if not high:
         return high
     class_adj = indexed_adjacency(state.n, edges)
@@ -270,7 +280,7 @@ def step1_high_nodes(state: _State) -> list[int]:
 
     if state.strict:
         for x in state.parts:
-            if len(x.nodes) < thresh:
+            if len(x.nodes) < heavy_threshold(state.eps):
                 raise InvariantViolation("step-1 part below its size bound")
     return high
 

@@ -11,14 +11,16 @@ the metric the result is certified against.
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import gc
 import math
 import operator
 import random
 import time
 from dataclasses import dataclass
 
-from .clustering import STRICT_EPS, cluster_level
+from .clustering import STRICT_EPS, cluster_level, heavy_nodes
 from .graphs import (
     PointSet,
     WeightedGraph,
@@ -79,6 +81,10 @@ class PipelineConfig:
             raise ValueError(f"radius must be positive, got {self.radius}")
         if not (0.0 < self.eps() < 1.0):
             raise ValueError(f"internal eps must be in (0,1), got {self.eps()}")
+        # refused up front, so whether a build is refused never depends on
+        # which of its levels get clustered
+        if self.strict and self.eps() > STRICT_EPS:
+            raise ValueError(f"strict mode needs eps <= {STRICT_EPS}, got {self.eps()}")
 
     def s_ssa(self) -> float:
         return {"general": S_GENERAL, "euclidean": S_GEOM, "udg": S_GEOM, "minor": S_MINOR}[
@@ -180,6 +186,13 @@ def build_hi(cg, outcome, backend, cfg: PipelineConfig, ssa_clock: list[float]) 
 
 
 def _class_spanner(g, sub, schedule, sigma, cfg, backend, ssa_clock, level_rows, trace_sigma):
+    """Source ids the class keeps, level by level.
+
+    Clustering level i serves only level i + 1 and the SSA's heavy nodes, so
+    an untraced build skips it on the last level when no node is heavy:
+    build_hi would keep every class edge.  That row's delta and degenerate
+    are None.  A traced build clusters every level.
+    """
     cells = schedule.per_sigma[sigma]
     max_i = max(cells)
     trace_levels = None if trace_sigma is None else trace_sigma["levels"]
@@ -191,8 +204,12 @@ def _class_spanner(g, sub, schedule, sigma, cfg, backend, ssa_clock, level_rows,
         cg = build_cluster_graph(
             lvl, cells.get(i, []), g, cfg.t(), cfg.eps(), level_scale=li, prev_scale=prev, w_bar=sub.w_bar
         )
-        outcome = cluster_level(cg, cfg.eps(), strict=cfg.strict)
-        h_i = build_hi(cg, outcome, backend, cfg, ssa_clock)
+        skip = i == max_i and trace_levels is None and not heavy_nodes(cg.class_edges, cfg.eps())
+        if skip:
+            outcome, h_i = None, {src for _, _, _, src in cg.class_edges}
+        else:
+            outcome = cluster_level(cg, cfg.eps(), strict=cfg.strict)
+            h_i = build_hi(cg, outcome, backend, cfg, ssa_clock)
         kept |= h_i
         row = {
             "sigma": sigma,
@@ -201,10 +218,12 @@ def _class_spanner(g, sub, schedule, sigma, cfg, backend, ssa_clock, level_rows,
             "class_edges": len(cg.class_edges),
             "h_i_edges": len(h_i),
             "phi": sum(lvl.potentials),
-            "delta": sum(outcome.local_change),
-            "degenerate": outcome.degenerate,
+            "delta": None if skip else sum(outcome.local_change),
+            "degenerate": None if skip else outcome.degenerate,
         }
         rows_here.append(row)
+        if skip:
+            break
         if trace_levels is not None:
             trace_levels.append(
                 {
@@ -357,6 +376,24 @@ def _graph_driver(g: WeightedGraph, cfg: PipelineConfig, backend) -> SpannerResu
     return _run(gn, source, cfg, backend, certify, {}, scale)
 
 
+@contextlib.contextmanager
+def _cyclic_gc_paused():
+    """Cyclic GC off for one build, then the caller's setting back.
+
+    A build makes millions of tracked tuples and lists but no reference
+    cycle, so collections during it free nothing.  The setting is
+    process-global: other threads run without cyclic GC meanwhile.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@_cyclic_gc_paused()
 def light_spanner_general(g: WeightedGraph, cfg: PipelineConfig) -> SpannerResult:
     cfg.validate()
     if cfg.mode != "general":
@@ -364,6 +401,7 @@ def light_spanner_general(g: WeightedGraph, cfg: PipelineConfig) -> SpannerResul
     return _graph_driver(g, cfg, lambda inp: ssa_general(inp, cfg.k))
 
 
+@_cyclic_gc_paused()
 def light_spanner_minor_free(g: WeightedGraph, cfg: PipelineConfig) -> SpannerResult:
     cfg.validate()
     if cfg.mode != "minor":
@@ -371,6 +409,7 @@ def light_spanner_minor_free(g: WeightedGraph, cfg: PipelineConfig) -> SpannerRe
     return _graph_driver(g, cfg, lambda inp: ssa_minor(inp))
 
 
+@_cyclic_gc_paused()
 def light_spanner_geometric(p: PointSet, cfg: PipelineConfig) -> SpannerResult:
     cfg.validate()
     if cfg.mode not in ("euclidean", "udg"):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from lightspan.clustering import STRICT_EPS, _carve_ball, _State, cluster_level, step1_high_nodes
+from lightspan.clustering import STRICT_EPS, _carve_ball, _State, cluster_level, heavy_nodes, step1_high_nodes
 from lightspan.graphs import indexed_adjacency
 from lightspan.hierarchy import POTENTIAL_RATIO, ClusterGraph
 
@@ -96,6 +96,16 @@ def test_step1_blocked_center_joins_its_least_grouped_neighbors_part():
     assert len(state.parts) == 1 and set(state.owner) == {0}
     # edges 0..68 form the star, 70 is (1, 5) and 71.. are 1's own; 69 = (1, 70) is not used
     assert state.parts[0].class_eids == list(range(69)) + list(range(70, 138))
+
+
+@pytest.mark.parametrize("eps", [0.5, 0.25, EPS])
+def test_heavy_nodes_start_at_the_threshold(eps):
+    # 2g/eps class edges make a node heavy, one fewer does not
+    thresh = 2 * G / eps
+    assert thresh == int(thresh)
+    for degree, want in ((int(thresh), [3]), (int(thresh) - 1, [])):
+        star = [(3, v, L, j) for j, v in enumerate(v for v in range(degree + 1) if v != 3)]
+        assert heavy_nodes(star, eps) == want
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +385,8 @@ def test_clustering_outcomes_are_pinned(monkeypatch):
     real = pipeline.cluster_level
     monkeypatch.setattr(pipeline, "cluster_level", lambda cg, eps, strict=False: record(real(cg, eps, strict), cg))
     for n, m, seed in ((300, 1200, 1), (600, 2400, 2), (1000, 4000, 3)):
-        pipeline.light_spanner_general(random_connected_graph(n, m, seed), pipeline.PipelineConfig())
+        # traced, so that every level is clustered and recorded
+        pipeline.light_spanner_general(random_connected_graph(n, m, seed), pipeline.PipelineConfig(trace=True))
     for seed in range(6):
         cg = _random_cluster_graph(seed)
         record(cluster_level(cg, EPS, strict=True), cg)

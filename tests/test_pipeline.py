@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import json
@@ -120,6 +121,15 @@ def test_validate_rejects_bad_configs():
         PipelineConfig(mode="udg", radius=0.0).validate()
     with pytest.raises(ValueError):
         PipelineConfig(mode="general", eps_user=1.5).validate()
+
+
+@pytest.mark.parametrize("m", [29, 90])
+def test_strict_mode_refuses_a_large_internal_eps_up_front(m):
+    # a tree has no level to cluster, so only validate can refuse it
+    g = random_connected_graph(30, m, 0)
+    with pytest.raises(ValueError, match=r"strict mode needs eps <= 0\.00390625, got 0\.5"):
+        light_spanner_general(g, PipelineConfig(strict=True, eps_internal=0.5))
+    PipelineConfig(strict=True, eps_internal=0.00390625).validate()
 
 
 def test_mode_guards():
@@ -247,6 +257,71 @@ def test_two_vertex_graph():
     assert res.stats["lightness"] == 1.0
 
 
+def _split_graph():
+    # two components: build_mst raises inside _transform
+    return WeightedGraph(4, [(0, 1, 1.0), (2, 3, 1.0)])
+
+
+# entry point -> (a build, a build of a disconnected input)
+GC_BUILDS = {
+    "general": (
+        lambda: light_spanner_general(random_connected_graph(40, 120, 0), PipelineConfig()),
+        lambda: light_spanner_general(_split_graph(), PipelineConfig()),
+    ),
+    "minor": (
+        lambda: light_spanner_minor_free(planar_triangulation(40, seed=0), PipelineConfig(mode="minor")),
+        lambda: light_spanner_minor_free(_split_graph(), PipelineConfig(mode="minor")),
+    ),
+    "geometric": (
+        lambda: light_spanner_geometric(uniform_points(40, 2, 0), PipelineConfig(mode="euclidean")),
+        lambda: light_spanner_geometric(
+            PointSet(2, [(0.0, 0.0), (0.01, 0.0), (5.0, 5.0)]), PipelineConfig(mode="udg", radius=0.5)
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(GC_BUILDS))
+@pytest.mark.parametrize("enabled", [True, False])
+def test_a_build_pauses_cyclic_gc_and_restores_the_callers_setting(monkeypatch, entry, enabled):
+    during = []
+    real = pipeline._transform
+    monkeypatch.setattr(pipeline, "_transform", lambda *a: during.append(gc.isenabled()) or real(*a))
+    build, disconnected = GC_BUILDS[entry]
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        build()
+        assert gc.isenabled() == enabled
+        with pytest.raises(DisconnectedGraph):
+            disconnected()
+        assert gc.isenabled() == enabled
+    finally:
+        gc.enable() if was else gc.disable()
+    assert during and not any(during)  # off inside every build
+
+
+def test_a_heavy_node_keeps_the_last_level_clustered(monkeypatch):
+    g = random_connected_graph(300, 1200, seed=1)
+    clustered = []
+    real = pipeline.cluster_level
+    monkeypatch.setattr(pipeline, "cluster_level", lambda cg, *a, **kw: clustered.append(cg) or real(cg, *a, **kw))
+
+    def levels_clustered(trace):
+        clustered.clear()
+        res = light_spanner_general(g, PipelineConfig(trace=trace))
+        return len(clustered), res
+
+    skipping, _ = levels_clustered(False)
+    traced, want = levels_clustered(True)
+    assert skipping < traced
+    monkeypatch.setattr(pipeline, "heavy_nodes", lambda class_edges, eps: [0])
+    untraced, res = levels_clustered(False)
+    assert untraced == traced
+    assert res.edge_ids == want.edge_ids
+    assert all(row["delta"] is not None for row in res.stats["levels"])
+
+
 def test_build_hi_sends_the_heavy_heavy_remainder_to_the_backend():
     # nodes 0, 1, 2, 4, 5 are heavy and 3 is not; edge 0 lies inside a part
     cfg = PipelineConfig(mode="general", eps_user=0.25)
@@ -287,6 +362,9 @@ def _digest(res) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+# mode -> (build, traced digest, untraced digest).  An untraced build does
+# not cluster a class's last level when no node there is heavy, so its level
+# rows there carry delta and degenerate None; its edge ids are the traced ones.
 GOLDEN = {
     # verify_cap below n routes certification through the sampled path
     "general": (
@@ -297,6 +375,7 @@ GOLDEN = {
             ),
         ),
         "426ed5a35d8a266d032e9462f43401627502e6a4775d0b357f76f6a3cb882668",
+        "d4de73f97a9d447545043acf90e5754ca4f906a88733af3ced9005496232b473",
     ),
     "minor": (
         lambda trace: light_spanner_minor_free(
@@ -304,6 +383,7 @@ GOLDEN = {
             PipelineConfig(mode="minor", eps_user=0.25, trace=trace),
         ),
         "7031b1d2ecde3a2f2d19633fac052f50e8f842aa6752dc4fef8210d7b5f1709f",
+        "81d84d371204730a22164e02d6b8a9f805fdd460e910c0bd918392d96ea7703e",
     ),
     "euclidean": (
         lambda trace: light_spanner_geometric(
@@ -311,6 +391,7 @@ GOLDEN = {
             PipelineConfig(mode="euclidean", eps_user=0.25, trace=trace),
         ),
         "59734403d14f28f9889a70dd32ac716e1161011e00b7664375041ec404fb768c",
+        "8aea6f79d66d1f7fcb63264958caf057dcc9dfaa3f444d00029ebec3715aa91e",
     ),
     "udg": (
         lambda trace: light_spanner_geometric(
@@ -318,6 +399,7 @@ GOLDEN = {
             PipelineConfig(mode="udg", radius=0.15, eps_user=0.25, trace=trace),
         ),
         "faf7577d828836727264094c6fa8e187132e436fb8f8242eef2474c4d368803b",
+        "93dbf41a1dd2fa7b4895dd29c736d275c6dda7038b5077d3fb26f402ec734ade",
     ),
     # geometric certification above verify_cap: seeded pair samples
     "euclidean-sampled": (
@@ -328,6 +410,7 @@ GOLDEN = {
             ),
         ),
         "e1c04648be33c34ef57c3b63e7f5d81b9ee14fb094501d10e4d2b43dab29b645",
+        "6771001e86b27dae696d0a41a7895bd677905a97f71824646b186ec735cf4464",
     ),
     "udg-sampled": (
         lambda trace: light_spanner_geometric(
@@ -342,6 +425,7 @@ GOLDEN = {
             ),
         ),
         "7833200d20d7c14f706b55edc6f644f55da3ecca3044659fe64f3cb94b3de4b0",
+        "7ba8ee00ca59a2b9b3740de77dcc2841285edb858edf4c52be2ea8bbb927b0a6",
     ),
     # unit-disk grids in other dimensions
     "udg-1d": (
@@ -350,6 +434,7 @@ GOLDEN = {
             PipelineConfig(mode="udg", radius=0.05, eps_user=0.25, trace=trace),
         ),
         "a56a60b770d40a0609291bff8dc729025864a6b921a3552725870f55249e524d",
+        "a56a60b770d40a0609291bff8dc729025864a6b921a3552725870f55249e524d",
     ),
     "udg-3d": (
         lambda trace: light_spanner_geometric(
@@ -357,6 +442,7 @@ GOLDEN = {
             PipelineConfig(mode="udg", radius=0.35, eps_user=0.25, trace=trace),
         ),
         "47734564aa74b4d565b8ee4d77c2dd98fd94852f8c6ff2d9666ab7e1d54849e6",
+        "2aeb0e3dd7cad685d8254b3b1f0c0d9ffc2a61af576a49f27b56925607f595a8",
     ),
     # the d >= 3 cone rule: udg-3d keeps every in-range pair under any rule,
     # so only a complete-metric Yao base pins it
@@ -366,6 +452,7 @@ GOLDEN = {
             PipelineConfig(mode="euclidean", eps_user=0.25, trace=trace),
         ),
         "b7fbc9aeec169542fb3dde43eb890b9cd04a0ad7b214296c081232e7a34c61df",
+        "44a39a14cf351bc97375f78300e73702646fdfafb891543b5025138954f5b315",
     ),
 }
 
@@ -379,11 +466,29 @@ GOLDEN = {
     ],
 )
 def test_golden_output(mode, trace):
-    # a traced build records itself and must never steer the output
-    build, want = GOLDEN[mode]
+    build, traced, untraced = GOLDEN[mode]
     res = build(trace)
     assert (res.trace is not None) == trace
-    assert _digest(res) == want
+    assert _digest(res) == (traced if trace else untraced)
+
+
+@pytest.mark.parametrize("mode", sorted(GOLDEN))
+def test_untraced_build_keeps_the_traced_edges(mode):
+    # the oracle for skipping clustering: a traced build clusters every level
+    plain, traced = GOLDEN[mode][0](False), GOLDEN[mode][0](True)
+    assert plain.edge_ids == traced.edge_ids
+    assert plain.stats.keys() == traced.stats.keys()
+    for key in plain.stats.keys() - {"timings_ms", "levels"}:
+        assert plain.stats[key] == traced.stats[key], key
+    assert len(plain.stats["levels"]) == len(traced.stats["levels"])
+    skipped = 0
+    for row, full in zip(plain.stats["levels"], traced.stats["levels"]):
+        if row["delta"] is None:
+            skipped += 1
+            assert row["degenerate"] is None
+            row = dict(row, delta=full["delta"], degenerate=full["degenerate"])
+        assert row == full
+    assert skipped or not plain.stats["levels"]
 
 
 def _python(*argv: str) -> str:
@@ -401,11 +506,11 @@ def test_golden_output_without_asserts():
     script = (
         "import json\n"
         "from test_pipeline import GOLDEN, _digest\n"
-        "print(json.dumps([__debug__, {m: _digest(b(False)) for m, (b, _) in GOLDEN.items()}]))\n"
+        "print(json.dumps([__debug__, {m: _digest(b(False)) for m, (b, _, _) in GOLDEN.items()}]))\n"
     )
     debug, got = json.loads(_python("-O", "-c", script))
     assert debug is False
-    assert got == {mode: want for mode, (_, want) in GOLDEN.items()}
+    assert got == {mode: want for mode, (_, _, want) in GOLDEN.items()}
 
 
 def test_invariant_checks_run_without_asserts():
